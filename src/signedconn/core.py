@@ -244,22 +244,24 @@ def double_cover(g: SignedGraph) -> DoubleCover:
 
 
 def _cover_bfs(g: SignedGraph, x: int) -> list[Optional[tuple[int, int]]]:
-    """BFS over the double cover from (x,+1).
+    """BFS over the double cover from (x,+1), with its vertices and edges left
+    implicit: from (v,s) the base edge e leads to (other end, s*sign(e)).
 
     Returns, per cover vertex, None (unreached), or (predecessor cover vertex,
     base edge id); the root is marked with (-1, -1).
     """
     g.check_vertex(x)
-    cover = double_cover(g)
     parent: list[Optional[tuple[int, int]]] = [None] * (2 * g.n)
     root = _cover_index(x, +1)
     parent[root] = (-1, -1)
     queue = deque([root])
     while queue:
         cv = queue.popleft()
-        for cw, eid in cover.adjacency[cv]:
+        v, negative = cv >> 1, cv & 1
+        for e in g.adjacency[v]:
+            cw = 2 * e.other(v) + (negative ^ (e.sign == -1))
             if parent[cw] is None:
-                parent[cw] = (cv, eid)
+                parent[cw] = (cv, e.id)
                 queue.append(cw)
     return parent
 

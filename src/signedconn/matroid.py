@@ -8,8 +8,8 @@ from enum import Enum
 from typing import Callable, Iterable, Optional
 
 from . import _cycles, structure
-from .balance import balancing_edges, component_balance, is_balanced
-from .core import SignedGraph, connected_components
+from .balance import _Spine, _balancing_edges
+from .core import SignedGraph
 from .errors import EdgeOutOfRange
 from .sign_connectivity import ComponentPartition, _sorted_classes
 
@@ -140,19 +140,60 @@ def _is_connecting_chain(
     return len(seen) == len(degree)
 
 
+def _parity_forest(g: SignedGraph, edge_ids: Iterable[int]) -> tuple[int, int]:
+    """(forest edges, unbalanced components) of the spanning subgraph on the
+    given edges, by union-find with parity and path halving.
+
+    `parity[v]` is the sign (0 for +, 1 for -) of the path from v to its
+    union-find parent; an edge closing a cycle whose parity disagrees with its
+    own sign makes that component unbalanced.
+    """
+    m = g.m
+    parent = list(range(g.n))
+    parity = [0] * g.n
+    unbalanced = [False] * g.n
+
+    def find(v: int) -> tuple[int, int]:
+        p = 0
+        while parent[v] != v:
+            up = parent[v]
+            parity[v] ^= parity[up]
+            parent[v] = parent[up]
+            p ^= parity[v]
+            v = parent[v]
+        return v, p
+
+    forest = 0
+    for eid in edge_ids:
+        if not 0 <= eid < m:
+            raise EdgeOutOfRange(f"edge id {eid} out of range")
+        e = g.edges[eid]
+        ru, pu = find(e.u)
+        rv, pv = find(e.v)
+        odd = pu ^ pv ^ (e.sign == -1)
+        if ru != rv:
+            parent[ru] = rv
+            parity[ru] = odd
+            unbalanced[rv] = unbalanced[rv] or unbalanced[ru]
+            forest += 1
+        elif odd:
+            unbalanced[ru] = True
+    return forest, sum(unbalanced[v] for v in range(g.n) if parent[v] == v)
+
+
 def frame_rank(g: SignedGraph, edge_ids: Iterable[int]) -> int:
-    """n minus the number of balanced components of the spanning subgraph."""
-    sub = g.subgraph_of_edges(edge_ids)
-    _, flags = component_balance(sub)
-    return g.n - sum(flags)
+    """n minus the number of balanced components of the spanning subgraph:
+    its forest edges plus its unbalanced components."""
+    forest, unbalanced = _parity_forest(g, edge_ids)
+    return forest + unbalanced
 
 
 def lift_rank(g: SignedGraph, edge_ids: Iterable[int]) -> int:
     """n minus the number of components of the spanning subgraph, plus one if
-    that subgraph is unbalanced."""
-    sub = g.subgraph_of_edges(edge_ids)
-    comps, flags = component_balance(sub)
-    return g.n - len(comps) + (0 if all(flags) else 1)
+    that subgraph is unbalanced: its forest edges, plus one if any component
+    is unbalanced."""
+    forest, unbalanced = _parity_forest(g, edge_ids)
+    return forest + (1 if unbalanced else 0)
 
 
 def matroid_components_from_rank(
@@ -257,20 +298,22 @@ def is_lift_connected(g: SignedGraph) -> bool:
 
 def frame_isthmi(g: SignedGraph) -> frozenset[int]:
     """Coloops of the frame matroid: balancing edges, bridges of balanced
-    components, and bridges of unbalanced components with a balanced side."""
-    dec = structure.block_decomposition(g)
-    out = set(balancing_edges(g))
-    for eid in dec.bridges():
-        if dec.component_balanced[_component_of_edge(dec, g, eid)]:
-            out.add(eid)
-            continue
-        e = g.edges[eid]
-        without = g.delete_edges([eid])
-        comps, flags = component_balance(without)
-        for comp, balanced in zip(comps, flags):
-            if balanced and (e.u in comp or e.v in comp):
-                out.add(eid)
-                break
+    components, and bridges of unbalanced components with a balanced side.
+
+    No non-tree edge crosses a bridge, so each frustrated edge of the
+    component lies on one side; the child side holds the frustrated edges
+    whose descendant end is in its subtree.
+    """
+    sp = _Spine(g)
+    k = sp.comp_frustrated
+    below = [0] * g.n
+    for _, d, _ in sp.frustrated:
+        below[d] += 1
+    below = sp.subtree_sums(below)
+    out = set(_balancing_edges(sp))
+    for c in sp.bridge_ends():
+        if below[c] in (0, k[sp.comp[c]]):
+            out.add(sp.parent_edge[c])
     return frozenset(out)
 
 
@@ -283,19 +326,11 @@ def lift_isthmi(g: SignedGraph) -> frozenset[int]:
     across components), so with two or more unbalanced components no single
     edge is balancing in this sense.
     """
-    dec = structure.block_decomposition(g)
-    out = set(dec.bridges())
-    if sum(not f for f in dec.component_balanced) == 1:
-        out |= balancing_edges(g)
+    sp = _Spine(g)
+    out = {sp.parent_edge[c] for c in sp.bridge_ends()}
+    if sum(1 for k in sp.comp_frustrated if k) == 1:
+        out |= _balancing_edges(sp)
     return frozenset(out)
-
-
-def _component_of_edge(dec: structure.BlockDecomposition, g: SignedGraph, eid: int) -> int:
-    u = g.edges[eid].u
-    for i, comp in enumerate(dec.components):
-        if u in comp:
-            return i
-    raise AssertionError("edge endpoint outside all components")
 
 
 def is_quasibalanced(

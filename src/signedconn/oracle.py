@@ -452,6 +452,40 @@ def brute_balancing_edges(g: SignedGraph) -> frozenset[int]:
     return frozenset(out)
 
 
+def _both_signs_everywhere(g: SignedGraph) -> bool:
+    """Every two distinct vertices are joined by chains of both signs
+    (vacuous with fewer than two vertices)."""
+    table = chain_sign_table(g)
+    return all(
+        len(table[x][y]) == 2 for x in range(g.n) for y in range(g.n) if x != y
+    )
+
+
+def brute_sign_isthmi(g: SignedGraph) -> frozenset[int]:
+    """Edges whose deletion leaves some vertex pair without chains of both
+    signs."""
+    out = set()
+    for eid in range(g.m):
+        rest = [(e.u, e.v, e.sign) for e in g.edges if e.id != eid]
+        if not _both_signs_everywhere(SignedGraph.from_triples(g.n, rest)):
+            out.add(eid)
+    return frozenset(out)
+
+
+def brute_sign_articulation_vertices(g: SignedGraph) -> frozenset[int]:
+    """Vertices whose deletion, with their edges, leaves some pair of the
+    remaining vertices without chains of both signs."""
+    out = set()
+    for x in range(g.n):
+        label = {v: i for i, v in enumerate(w for w in range(g.n) if w != x)}
+        rest = [
+            (label[e.u], label[e.v], e.sign) for e in g.edges if x not in (e.u, e.v)
+        ]
+        if not _both_signs_everywhere(SignedGraph.from_triples(g.n - 1, rest)):
+            out.add(x)
+    return frozenset(out)
+
+
 # ---------------------------------------------------------------------------
 # exhaustive generation
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .balance import component_balance, harary_bipartition
+from .balance import _Spine, _balancing_edges, balancing_vertices, component_balance
 from .core import (
     SignedGraph,
     Walk,
@@ -91,28 +91,37 @@ def _require_sign_connected(g: SignedGraph) -> None:
 
 
 def sign_isthmi(g: SignedGraph) -> frozenset[int]:
-    """Edges whose deletion destroys sign connection."""
+    """Edges whose deletion destroys sign connection: the bridges, which
+    disconnect, together with the balancing edges, which balance."""
     _require_sign_connected(g)
     if g.n == 1:
         raise PreconditionError("sign isthmi are defined for graphs with n > 1")
-    return frozenset(
-        e.id for e in g.edges if not is_sign_connected(g.delete_edges([e.id]))
-    )
+    sp = _Spine(g)
+    return frozenset(sp.parent_edge[c] for c in sp.bridge_ends()) | _balancing_edges(sp)
 
 
 def sign_articulation_vertices(g: SignedGraph) -> frozenset[int]:
-    """Vertices whose deletion destroys sign connection."""
+    """Vertices whose deletion destroys sign connection: the cut vertices
+    together with the balancing vertices.  With n <= 2 there are none, since
+    a single remaining vertex (or none) counts as sign connected."""
     _require_sign_connected(g)
-    if g.n == 1:
-        return frozenset()  # deleting the only vertex leaves nothing to test
-    return frozenset(
-        x for x in range(g.n) if not is_sign_connected(g.delete_vertex(x))
-    )
+    if g.n <= 2:
+        return frozenset()
+    return _Spine(g).cut_vertices() | balancing_vertices(g)
 
 
 def is_sign_block(g: SignedGraph) -> bool:
     _require_sign_connected(g)
     return not sign_articulation_vertices(g)
+
+
+def _negative_flags(g: SignedGraph, sp: _Spine) -> list[bool]:
+    """Per component, whether it holds a negative edge."""
+    flags = [False] * len(sp.comp_frustrated)
+    for e in g.edges:
+        if e.sign == -1:
+            flags[sp.comp[e.u]] = True
+    return flags
 
 
 def positive_components(g: SignedGraph) -> ComponentPartition:
@@ -122,19 +131,15 @@ def positive_components(g: SignedGraph) -> ComponentPartition:
     component with a negative edge splits into its two bipartition sides.  A
     component with no edges counts as all positive.
     """
-    comps, flags = component_balance(g)
+    sp = _Spine(g)
     classes: list[frozenset[int]] = []
-    for comp, balanced in zip(comps, flags):
-        if not balanced:
+    for comp, frustrated, has_negative in zip(
+        sp.components(), sp.comp_frustrated, _negative_flags(g, sp)
+    ):
+        if frustrated or not has_negative:
             classes.append(comp)
             continue
-        has_negative = any(e.sign == -1 for e in g.edges if e.u in comp)
-        if not has_negative:
-            classes.append(comp)
-            continue
-        bip = harary_bipartition(g.subgraph_of_edges(e.id for e in g.edges if e.u in comp))
-        assert bip is not None
-        switched = bip.switched & comp
+        switched = frozenset(v for v in comp if sp.pot[v] == -1)
         classes.append(comp - switched)
         classes.append(switched)
     return ComponentPartition("positive", _sorted_classes(classes))
@@ -143,11 +148,12 @@ def positive_components(g: SignedGraph) -> ComponentPartition:
 def negative_components(g: SignedGraph) -> ComponentPartition:
     """Maximal sets in which vertex pairs are negatively connected, directly
     or through a common negatively-connected neighbor."""
-    comps, flags = component_balance(g)
+    sp = _Spine(g)
     classes: list[frozenset[int]] = []
-    for comp, balanced in zip(comps, flags):
-        has_negative = any(e.sign == -1 for e in g.edges if e.u in comp)
-        if not balanced or has_negative:
+    for comp, frustrated, has_negative in zip(
+        sp.components(), sp.comp_frustrated, _negative_flags(g, sp)
+    ):
+        if frustrated or has_negative:
             classes.append(comp)
         else:
             classes.extend(frozenset([v]) for v in comp)

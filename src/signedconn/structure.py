@@ -10,8 +10,8 @@ from functools import lru_cache
 from typing import Optional
 
 from . import _cycles
-from .balance import is_balanced
-from .core import SignedGraph, Walk, connected_components
+from .balance import _Spine
+from .core import SignedGraph, Walk
 from .errors import NotABlock
 
 
@@ -58,72 +58,40 @@ class BlockDecomposition:
         )
 
 
-def _biconnected_edge_groups(g: SignedGraph) -> list[list[int]]:
-    """Edge id groups of the biconnected components (loops excluded)."""
-    adj: list[list] = [[] for _ in range(g.n)]
-    for e in g.edges:
-        if e.u != e.v:
-            adj[e.u].append(e)
-            adj[e.v].append(e)
+def _biconnected_edge_groups(sp: _Spine) -> list[list[int]]:
+    """Edge id groups of the biconnected components (loops excluded), read
+    off the spine.
 
-    disc = [-1] * g.n
-    low = [0] * g.n
+    The tree edge into c opens a new group when no non-tree edge leaves the
+    subtree of c above its parent; otherwise it joins the group of the tree
+    edge into the parent.  A non-tree edge closes a cycle with the tree edge
+    into its descendant end, so it joins that edge's group.
+    """
+    group_of = [-1] * len(sp.comp)
     groups: list[list[int]] = []
-    timer = 0
-    for root in range(g.n):
-        if disc[root] != -1:
+    for c in sp.order:
+        p = sp.parent[c]
+        if p < 0:
             continue
-        disc[root] = low[root] = timer
-        timer += 1
-        edge_stack: list[int] = []
-        stack: list[list] = [[root, -1, iter(adj[root])]]
-        while stack:
-            v, via, it = stack[-1]
-            advanced = False
-            for e in it:
-                if e.id == via:
-                    continue
-                w = e.other(v)
-                if disc[w] == -1:
-                    edge_stack.append(e.id)
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append([w, e.id, iter(adj[w])])
-                    advanced = True
-                    break
-                elif disc[w] < disc[v]:
-                    edge_stack.append(e.id)
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-                        stack[-1][0] = v  # no-op; keep frame mutable
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                u = stack[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-                if low[v] >= disc[u]:
-                    group = []
-                    while True:
-                        eid = edge_stack.pop()
-                        group.append(eid)
-                        if eid == via:
-                            break
-                    groups.append(group)
+        if sp.low[c] >= sp.disc[p]:
+            group_of[c] = len(groups)
+            groups.append([])
+        else:
+            group_of[c] = group_of[p]
+        groups[group_of[c]].append(sp.parent_edge[c])
+    for eid, d, a in sp.nontree:
+        if d != a:
+            groups[group_of[d]].append(eid)
     return groups
 
 
 @lru_cache(maxsize=8192)
 def block_decomposition(g: SignedGraph) -> BlockDecomposition:
-    comps = connected_components(g)
-    comp_of = [0] * g.n
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = i
+    sp = _Spine(g)
+    comps = sp.components()
 
     raw: list[tuple[frozenset[int], frozenset[int]]] = []
-    for group in _biconnected_edge_groups(g):
+    for group in _biconnected_edge_groups(sp):
         verts = set()
         for eid in group:
             verts.add(g.edges[eid].u)
@@ -146,26 +114,27 @@ def block_decomposition(g: SignedGraph) -> BlockDecomposition:
             incidence[v] += 1
     articulation = frozenset(v for v, k in incidence.items() if k >= 2)
 
-    balanced_flags = [
-        is_balanced(g.subgraph_of_edges(edges)) if edges else True
-        for edges, _ in raw
-    ]
+    # the tree path between two vertices of a block stays in the block, so a
+    # block is balanced iff it holds no frustrated edge
+    frustrated = {eid for eid, _, _ in sp.frustrated}
+    balanced_flags = [frustrated.isdisjoint(edges) for edges, _ in raw]
     inner_flags = _inner_blocks(raw, balanced_flags, articulation)
 
     blocks = tuple(
-        Block(edges, verts, bal, inner, comp_of[min(verts)])
+        Block(edges, verts, bal, inner, sp.comp[min(verts)])
         for (edges, verts), bal, inner in zip(raw, balanced_flags, inner_flags)
     )
 
-    comp_balanced = tuple(
-        all(b.balanced for b in blocks if b.component == i) for i in range(len(comps))
-    )
+    comp_balanced = tuple(k == 0 for k in sp.comp_frustrated)
 
+    inner_by_comp: list[list[Block]] = [[] for _ in comps]
+    for b in blocks:
+        if b.inner:
+            inner_by_comp[b.component].append(b)
     cores = []
-    for i in range(len(comps)):
+    for i, inner in enumerate(inner_by_comp):
         if comp_balanced[i]:
             continue
-        inner = [b for b in blocks if b.component == i and b.inner]
         edges: set[int] = set()
         for b in inner:
             edges |= b.edges
@@ -223,7 +192,13 @@ def _necklace_constituents(
     if block.balanced or not block.edges:
         return None
     order = sorted(block.edges)
-    sub = g.subgraph_of_edges(order)
+    # the block's own vertices, relabelled: extra isolated vertices would add
+    # one to both n and the balanced components, leaving every rank unchanged
+    index = {v: i for i, v in enumerate(sorted(block.vertices))}
+    sub = SignedGraph.from_triples(
+        len(index),
+        ((index[g.edges[eid].u], index[g.edges[eid].v], g.edges[eid].sign) for eid in order),
+    )
     classes = matroid.matroid_components_from_rank(
         list(range(len(order))), lambda s: matroid.frame_rank(sub, s)
     )

@@ -25,14 +25,15 @@ from .sign_connectivity import (
     is_sign_connected,
     negative_components,
     positive_components,
+    sign_articulation_vertices,
     sign_components,
     sign_isthmi,
 )
 
 SUITES: dict[int, str] = {
     1: "sign connection: criterion and components vs both-sign reachability",
-    2: "balancing edges: the five characterizations agree edge by edge",
-    3: "sign isthmi = isthmi union balancing edges on sign-connected graphs",
+    2: "balancing edges: deletion oracle, and the five characterizations agree edge by edge",
+    3: "sign isthmi = isthmi union balancing edges, and sign articulation vertices, vs deletion",
     4: "matroid ranks, rank axioms, circuits, coloops, and components vs oracle",
     5: "frame/lift vs sign connection and isthmus comparisons",
     6: "contrabalance: cactus characterization and connection consequences",
@@ -169,7 +170,13 @@ def _check_suite_1(ctx: _Lazy, fail):
 
 
 def _check_suite_2(ctx: _Lazy, fail):
-    if not ctx.connected or ctx.balanced:
+    if ctx.balanced:
+        return
+    want = oracle.brute_balancing_edges(ctx.g)
+    if ctx.balancing != want:
+        fail(f"balancing edges {sorted(ctx.balancing)} != deletion oracle {sorted(want)}")
+        return
+    if not ctx.connected:
         return
     for eid in range(ctx.g.m):
         rep = check_balancing_edge_equivalences(ctx.g, eid)
@@ -179,11 +186,21 @@ def _check_suite_2(ctx: _Lazy, fail):
 
 
 def _check_suite_3(ctx: _Lazy, fail):
-    if not ctx.sign_connected or ctx.g.n <= 1:
+    g = ctx.g
+    if not ctx.sign_connected or g.n <= 1:
+        return
+    want = oracle.brute_sign_isthmi(g)
+    if ctx.sign_isthmi != want:
+        fail(f"sign isthmi {sorted(ctx.sign_isthmi)} != deletion oracle {sorted(want)}")
         return
     expected = ctx.dec.bridges() | ctx.balancing
-    if ctx.sign_isthmi != expected:
-        fail(f"sign isthmi {sorted(ctx.sign_isthmi)} != {sorted(expected)}")
+    if expected != want:
+        fail(f"isthmi union balancing edges {sorted(expected)} != sign isthmi {sorted(want)}")
+        return
+    got = sign_articulation_vertices(g)
+    want = oracle.brute_sign_articulation_vertices(g)
+    if got != want:
+        fail(f"sign articulation vertices {sorted(got)} != deletion oracle {sorted(want)}")
 
 
 def _check_suite_4(ctx: _Lazy, fail):

@@ -1,0 +1,224 @@
+"""Seeded differential tests beyond the exhaustive n <= 4 sweep, plus
+structured families that exercise the spine's special cases: edges parallel
+to tree edges, negative loops, several unbalanced components, and deep trees.
+
+Every expected value comes from the brute-force oracle or from a
+definition-level deletion check on chain signs, never from the library.
+"""
+
+import random
+
+import pytest
+
+from signedconn import (
+    SignedGraph,
+    balancing_edges,
+    balancing_vertices,
+    block_decomposition,
+    frame_isthmi,
+    frame_rank,
+    is_sign_connected,
+    lift_isthmi,
+    lift_rank,
+    sign_articulation_vertices,
+    sign_isthmi,
+)
+from signedconn import oracle
+
+SEEDS = range(12)
+
+
+def _random_graph(rng, n, m):
+    return SignedGraph.from_triples(
+        n, [(rng.randrange(n), rng.randrange(n), rng.choice((1, -1))) for _ in range(m)]
+    )
+
+
+def _random_connected(rng, n, m):
+    """A random spanning tree plus m - (n - 1) random edges (loops and
+    parallel edges allowed), edges shuffled so tree edges are not first."""
+    triples = [(rng.randrange(v), v, rng.choice((1, -1))) for v in range(1, n)]
+    triples += [
+        (rng.randrange(n), rng.randrange(n), rng.choice((1, -1)))
+        for _ in range(m - (n - 1))
+    ]
+    rng.shuffle(triples)
+    return SignedGraph.from_triples(n, triples)
+
+
+def _graphs(seed, count, max_m, connected=False):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(5, 9)
+        if connected:
+            yield _random_connected(rng, n, rng.randint(n - 1, max(n - 1, max_m)))
+        else:
+            yield _random_graph(rng, n, rng.randint(0, max_m))
+
+
+def _delete_vertex(g, x):
+    label = {v: i for i, v in enumerate(w for w in range(g.n) if w != x)}
+    rest = [(label[e.u], label[e.v], e.sign) for e in g.edges if x not in (e.u, e.v)]
+    return SignedGraph.from_triples(g.n - 1, rest), label
+
+
+def _deletion_balancing_vertices(g):
+    """Vertices x of a component holding a negative closed chain such that,
+    once x is deleted, no remaining vertex of that component has one."""
+    table = oracle.chain_sign_table(g)
+    out = set()
+    for x in range(g.n):
+        if -1 not in table[x][x]:
+            continue
+        comp = [y for y in range(g.n) if table[x][y] and y != x]
+        rest, label = _delete_vertex(g, x)
+        rest_table = oracle.chain_sign_table(rest)
+        if all(-1 not in rest_table[label[y]][label[y]] for y in comp):
+            out.add(x)
+    return frozenset(out)
+
+
+# -- seeded differential tests, n = 5..9 ------------------------------------
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_balancing_edges_match_oracle(seed):
+    for g in _graphs(seed, 5, 12):
+        assert balancing_edges(g) == oracle.brute_balancing_edges(g), g
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_balancing_vertices_match_deletion(seed):
+    for g in _graphs(seed, 5, 12):
+        assert balancing_vertices(g) == _deletion_balancing_vertices(g), g
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sign_isthmi_and_articulation_match_oracle(seed):
+    checked = 0
+    for g in _graphs(seed, 10, 12, connected=True):
+        if not is_sign_connected(g):
+            continue
+        checked += 1
+        assert sign_isthmi(g) == oracle.brute_sign_isthmi(g), g
+        assert sign_articulation_vertices(g) == oracle.brute_sign_articulation_vertices(g), g
+    assert checked
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_coloops_match_oracle(seed):
+    # the coloop oracle sweeps every edge subset, so m stays at 8
+    for g in _graphs(seed, 5, 8):
+        assert frame_isthmi(g) == oracle.brute_coloops(g, oracle.frame_independent), g
+        assert lift_isthmi(g) == oracle.brute_coloops(g, oracle.lift_independent), g
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_ranks_match_oracle(seed):
+    rng = random.Random(seed)
+    for g in _graphs(seed, 5, 8):
+        subset = [eid for eid in range(g.m) if rng.random() < 0.7]
+        assert frame_rank(g, subset) == oracle.brute_rank(g, subset, oracle.frame_independent), g
+        assert lift_rank(g, subset) == oracle.brute_rank(g, subset, oracle.lift_independent), g
+
+
+# -- structured families ----------------------------------------------------
+
+
+def _check_against_oracles(g):
+    assert balancing_edges(g) == oracle.brute_balancing_edges(g)
+    assert balancing_vertices(g) == _deletion_balancing_vertices(g)
+    assert frame_isthmi(g) == oracle.brute_coloops(g, oracle.frame_independent)
+    assert lift_isthmi(g) == oracle.brute_coloops(g, oracle.lift_independent)
+    if is_sign_connected(g) and g.n > 1:
+        assert sign_isthmi(g) == oracle.brute_sign_isthmi(g)
+        assert sign_articulation_vertices(g) == oracle.brute_sign_articulation_vertices(g)
+
+
+def test_negative_cycle_with_pendant_trees():
+    """Every vertex of the one negative cycle is a balancing vertex, found as a
+    candidate on the fundamental cycle and confirmed by deletion."""
+    k = 50
+    triples = [(i, (i + 1) % k, -1 if i == 17 else +1) for i in range(k)]
+    n = k
+    inner = set()
+    for root in (0, 13, 31):  # a pendant path of three edges at each
+        prev = root
+        for _ in range(3):
+            triples.append((prev, n, +1))
+            inner.add(prev)
+            prev, n = n, n + 1
+    triples.append((k + 1, n, -1))  # a branch off the first path
+    inner.add(k + 1)
+    g = SignedGraph.from_triples(n + 1, triples)
+    cycle = frozenset(range(k))
+    assert balancing_vertices(g) == cycle
+    assert balancing_edges(g) == frozenset(range(k))
+    assert sign_isthmi(g) == frozenset(range(g.m))
+    assert sign_articulation_vertices(g) == cycle | inner
+    assert frame_isthmi(g) == frozenset(range(g.m))
+
+
+@pytest.mark.parametrize(
+    "triples",
+    [
+        # negative digon parallel to a tree edge, on a path
+        [(0, 1, +1), (1, 2, +1), (2, 3, +1), (1, 2, -1)],
+        # positive digon beside a negative triangle
+        [(0, 1, +1), (1, 2, +1), (2, 0, -1), (2, 3, +1), (2, 3, +1)],
+        # two parallel negative edges closing one triangle
+        [(0, 1, +1), (1, 2, +1), (2, 0, -1), (2, 0, -1), (0, 3, -1)],
+    ],
+    ids=["negative-digon", "positive-digon", "doubled-chord"],
+)
+def test_edges_parallel_to_tree_edges(triples):
+    _check_against_oracles(SignedGraph.from_triples(4, triples))
+
+
+@pytest.mark.parametrize(
+    "n, triples, balancing",
+    [
+        (3, [(0, 1, +1), (1, 2, +1), (2, 0, +1), (0, 0, -1)], {3}),
+        (3, [(0, 1, +1), (1, 2, -1), (0, 0, -1), (2, 2, -1)], set()),
+        (2, [(0, 1, -1), (1, 1, -1), (1, 1, -1)], set()),
+        (1, [(0, 0, -1), (0, 0, +1)], {0}),
+    ],
+    ids=["loop-on-triangle", "loops-apart", "loops-together", "lone-vertex"],
+)
+def test_negative_loops(n, triples, balancing):
+    g = SignedGraph.from_triples(n, triples)
+    assert balancing_edges(g) == frozenset(balancing)
+    _check_against_oracles(g)
+
+
+def test_several_unbalanced_components():
+    triples = [
+        (0, 1, +1), (1, 2, +1), (2, 0, -1),  # negative triangle
+        (3, 4, -1), (4, 5, -1), (5, 3, -1),  # negative triangle
+        (5, 6, +1),  # pendant bridge
+        (7, 8, -1), (8, 9, +1), (9, 7, -1),  # balanced triangle
+        (10, 10, -1),  # negative loop on its own
+    ]
+    g = SignedGraph.from_triples(11, triples)
+    assert balancing_edges(g) == frozenset({0, 1, 2, 3, 4, 5, 10})
+    assert lift_isthmi(g) == frozenset({6})
+    _check_against_oracles(g)
+
+
+def test_deep_path_with_negative_triangle():
+    """A path of 10^4 vertices ending in a negative triangle: every answer is
+    known, and the iterative spine cannot hit the recursion limit."""
+    n = 10_000
+    triples = [(i, i + 1, +1) for i in range(n - 1)] + [(n - 3, n - 1, -1)]
+    g = SignedGraph.from_triples(n, triples)
+    triangle = frozenset({n - 3, n - 2, n - 1})
+    triangle_edges = frozenset({n - 3, n - 2, n - 1})  # edge ids of its sides
+    assert balancing_edges(g) == triangle_edges
+    assert balancing_vertices(g) == triangle
+    assert sign_isthmi(g) == frozenset(range(g.m))
+    assert sign_articulation_vertices(g) == frozenset(range(1, n))
+    assert frame_isthmi(g) == frozenset(range(g.m))
+    assert lift_isthmi(g) == frozenset(range(g.m))
+    dec = block_decomposition(g)
+    assert dec.bridges() == frozenset(range(n - 3))
+    assert [b for b in dec.blocks if not b.balanced][0].edges == triangle_edges
