@@ -5,12 +5,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from . import _cycles, structure
 from .balance import _Spine, _balancing_edges
 from .core import SignedGraph
-from .errors import EdgeOutOfRange
+from .errors import CycleBudgetExceeded, EdgeOutOfRange
 from .sign_connectivity import ComponentPartition, _sorted_classes
 
 DEFAULT_CYCLE_BUDGET = 100_000
@@ -66,12 +66,21 @@ def classify_circuit(g: SignedGraph, edge_ids: Iterable[int]) -> CircuitClassifi
     vertex, or two vertex-disjoint negative cycles joined by a chain meeting
     them only at its ends.  Lift circuits replace the third shape by a bare
     vertex-disjoint pair of negative cycles.
+
+    Every such circuit has at most n + 1 edges and exactly one or two
+    elementary cycles, so larger sets are rejected up front and the cycle
+    enumeration stops at a third cycle.
     """
     F = frozenset(edge_ids)
     for eid in F:
         if not 0 <= eid < g.m:
             raise EdgeOutOfRange(f"edge id {eid} out of range")
-    cycles = _cycles.elementary_cycles(g, F)
+    if len(F) > g.n + 1:
+        return _NOT_A_CIRCUIT
+    try:
+        cycles = _cycles.elementary_cycles(g, F, max_cycles=2)
+    except CycleBudgetExceeded:
+        return _NOT_A_CIRCUIT
 
     if len(cycles) == 1:
         cyc, sign = cycles[0]
@@ -196,49 +205,6 @@ def lift_rank(g: SignedGraph, edge_ids: Iterable[int]) -> int:
     return forest + (1 if unbalanced else 0)
 
 
-def matroid_components_from_rank(
-    ground: list[int], rank: Callable[[list[int]], int]
-) -> list[frozenset[int]]:
-    """Connected components of a matroid given by its rank function.
-
-    Greedily builds a basis, then unions each non-basis element with its
-    fundamental circuit; a rank-zero element is its own component.
-    """
-    basis: list[int] = []
-    r = 0
-    for e in ground:
-        if rank(basis + [e]) > r:
-            basis.append(e)
-            r += 1
-
-    parent = {e: e for e in ground}
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    basis_set = set(basis)
-    for e in ground:
-        if e in basis_set:
-            continue
-        for i, b in enumerate(basis):
-            swapped = basis[:i] + basis[i + 1 :] + [e]
-            if rank(swapped) == r:
-                union(e, b)
-
-    classes: dict[int, set[int]] = {}
-    for e in ground:
-        classes.setdefault(find(e), set()).add(e)
-    return [frozenset(c) for c in sorted(classes.values(), key=min)]
-
-
 def frame_components(g: SignedGraph) -> ComponentPartition:
     """Edge classes of the frame matroid: blocks outside the cores, the cores
     themselves, except that a single-block necklace core splits into its
@@ -262,28 +228,22 @@ def frame_components(g: SignedGraph) -> ComponentPartition:
 def lift_components(g: SignedGraph) -> ComponentPartition:
     """Edge classes of the lift matroid: each balanced block separately, and
     all unbalanced blocks merged into one class -- unless the only unbalanced
-    block is a necklace, which splits into its constituents."""
+    block is a necklace, which splits into its constituents.  Such a block is
+    the single-block core of the one unbalanced component."""
     dec = structure.block_decomposition(g)
     classes: list[frozenset[int]] = []
     isolated: set[int] = set()
-    unbalanced: list[structure.Block] = []
+    merged: set[int] = set()
     for b in dec.blocks:
         if not b.edges:
             isolated |= b.vertices
         elif b.balanced:
             classes.append(b.edges)
         else:
-            unbalanced.append(b)
-    if len(unbalanced) == 1:
-        neck = structure.detect_necklace(g, unbalanced[0].edges)
-        if neck is not None:
-            classes.extend(neck)
-        else:
-            classes.append(unbalanced[0].edges)
-    elif unbalanced:
-        merged: set[int] = set()
-        for b in unbalanced:
             merged |= b.edges
+    if len(dec.cores) == 1 and dec.cores[0].necklace is not None:
+        classes.extend(dec.cores[0].necklace)
+    elif merged:
         classes.append(frozenset(merged))
     return ComponentPartition("lift", _sorted_classes(classes), frozenset(isolated))
 

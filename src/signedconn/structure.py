@@ -6,11 +6,10 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Optional
 
 from . import _cycles
-from .balance import _Spine
+from .balance import _Spine, balancing_vertices
 from .core import SignedGraph, Walk
 from .errors import NotABlock
 
@@ -85,8 +84,13 @@ def _biconnected_edge_groups(sp: _Spine) -> list[list[int]]:
     return groups
 
 
-@lru_cache(maxsize=8192)
 def block_decomposition(g: SignedGraph) -> BlockDecomposition:
+    """Blocks, articulation vertices and the core of every unbalanced
+    component.  Computed once per graph object and kept on it: the graph is
+    immutable, so the result lives and dies with it, like `adjacency`."""
+    memo = vars(g)
+    if "_block_decomposition" in memo:
+        return memo["_block_decomposition"]
     sp = _Spine(g)
     comps = sp.components()
 
@@ -143,9 +147,10 @@ def block_decomposition(g: SignedGraph) -> BlockDecomposition:
             necklace = _necklace_constituents(g, inner[0])
         cores.append(Core(i, frozenset(edges), necklace))
 
-    return BlockDecomposition(
+    memo["_block_decomposition"] = BlockDecomposition(
         blocks, articulation, tuple(comps), comp_balanced, tuple(cores)
     )
+    return memo["_block_decomposition"]
 
 
 def _inner_blocks(raw, balanced_flags, articulation) -> list[bool]:
@@ -183,29 +188,53 @@ def _necklace_constituents(
     """Finest decomposition of an unbalanced block into >= 2 balanced blocks
     glued in a ring, or None if the block is not such a necklace.
 
-    The pieces are found as the connected components of the block's own frame
-    matroid (via fundamental circuits of the rank function); a ring
-    decomposition exists exactly when there are at least two pieces.
+    Zaslavsky's necklace picture (Biased graphs II, 1991): let S be the
+    balancing vertices of the block itself.  Every negative cycle passes
+    through all of S, so with |S| >= 2 each S-bridge (a component of B - S
+    with its attachment edges, or one S-S edge) attaches at two vertices
+    a, b of S and is balanced with them: its a-b paths share one sign.  The
+    bridges with equal {a, b} and sign form one constituent.
     """
-    from . import matroid
-
     if block.balanced or not block.edges:
         return None
     order = sorted(block.edges)
-    # the block's own vertices, relabelled: extra isolated vertices would add
-    # one to both n and the balanced components, leaving every rank unchanged
+    # the block's own vertices, relabelled: another unbalanced block in the
+    # component would leave the component without balancing vertices
     index = {v: i for i, v in enumerate(sorted(block.vertices))}
     sub = SignedGraph.from_triples(
         len(index),
         ((index[g.edges[eid].u], index[g.edges[eid].v], g.edges[eid].sign) for eid in order),
     )
-    classes = matroid.matroid_components_from_rank(
-        list(range(len(order))), lambda s: matroid.frame_rank(sub, s)
-    )
-    if len(classes) < 2:
+    S = balancing_vertices(sub)
+    if len(S) < 2:
         return None
-    constituents = [frozenset(order[i] for i in cls) for cls in classes]
-    return _ring_order(g, constituents)
+    groups: dict[tuple, set[int]] = {}
+    for e in sub.edges:
+        if e.u in S and e.v in S:
+            groups.setdefault((min(e.u, e.v), max(e.u, e.v), e.sign), set()).add(order[e.id])
+    pot = [0] * sub.n  # sign of a path from the bridge's root, 0 if unseen
+    for root in range(sub.n):
+        if root in S or pot[root]:
+            continue
+        pot[root] = 1
+        edges: set[int] = set()
+        ends: dict[int, int] = {}
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for e in sub.adjacency[v]:
+                w = e.other(v)
+                edges.add(order[e.id])
+                if w in S:
+                    ends[w] = pot[v] * e.sign
+                elif not pot[w]:
+                    pot[w] = pot[v] * e.sign
+                    stack.append(w)
+        a, b = sorted(ends)
+        groups.setdefault((a, b, ends[a] * ends[b]), set()).update(edges)
+    if len(groups) < 2:
+        return None
+    return _ring_order(g, [frozenset(c) for c in groups.values()])
 
 
 def _ring_order(

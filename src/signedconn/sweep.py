@@ -497,7 +497,10 @@ def run_sweep(
     if seed is not None:
         pool = list(graphs)
         random.Random(seed).shuffle(pool)
-        graphs = iter(pool)
+        pool.reverse()
+        # popped as checked, so that no graph (nor what is kept on it, such
+        # as its block decomposition) outlives its check
+        graphs = (pool.pop() for _ in range(len(pool)))
     for g in graphs:
         result.graphs_checked += 1
         for violation in check_graph(g, suites):

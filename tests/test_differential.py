@@ -1,12 +1,14 @@
 """Seeded differential tests beyond the exhaustive n <= 4 sweep, plus
-structured families that exercise the spine's special cases: edges parallel
-to tree edges, negative loops, several unbalanced components, and deep trees.
+structured families that exercise the spine's special cases (edges parallel
+to tree edges, negative loops, several unbalanced components, deep trees)
+and necklaces of up to eight beads.
 
 Every expected value comes from the brute-force oracle or from a
 definition-level deletion check on chain signs, never from the library.
 """
 
 import random
+from math import prod
 
 import pytest
 
@@ -15,9 +17,12 @@ from signedconn import (
     balancing_edges,
     balancing_vertices,
     block_decomposition,
+    detect_necklace,
+    frame_components,
     frame_isthmi,
     frame_rank,
     is_sign_connected,
+    lift_components,
     lift_isthmi,
     lift_rank,
     sign_articulation_vertices,
@@ -222,3 +227,105 @@ def test_deep_path_with_negative_triangle():
     dec = block_decomposition(g)
     assert dec.bridges() == frozenset(range(n - 3))
     assert [b for b in dec.blocks if not b.balanced][0].edges == triangle_edges
+
+
+# -- necklace families --------------------------------------------------------
+
+
+def _path(rng, a, b, length, sign, fresh):
+    """Triples of an a-b path of the given length and sign, its inner
+    vertices numbered from `fresh`; returns (triples, next fresh vertex)."""
+    triples = []
+    prev, product = a, 1
+    for _ in range(length - 1):
+        s = rng.choice((1, -1))
+        triples.append((prev, fresh, s))
+        product *= s
+        prev, fresh = fresh, fresh + 1
+    triples.append((prev, b, sign * product))
+    return triples, fresh
+
+
+def _relabelled(rng, n, beads):
+    """The graph of the beads (lists of triples) under a random vertex
+    permutation, a random switching and a shuffled edge order, with each bead
+    as a set of edge ids."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    switched = {v for v in range(n) if rng.random() < 0.5}
+    tagged = [
+        (perm[u], perm[v], -s if (u in switched) != (v in switched) else s, i)
+        for i, bead in enumerate(beads)
+        for u, v, s in bead
+    ]
+    rng.shuffle(tagged)
+    g = SignedGraph.from_triples(n, [t[:3] for t in tagged])
+    ids = [set() for _ in beads]
+    for eid, t in enumerate(tagged):
+        ids[t[3]].add(eid)
+    return g, {frozenset(b) for b in ids}
+
+
+def _ring_necklace(rng, k):
+    """k beads in a ring on joints 0..k-1, with bead i between joints i and
+    i + 1: a single edge, a balanced cycle (two a-b paths of one sign), or a
+    balanced block of three such paths.  The bead signs multiply to -1, so
+    the ring is unbalanced and every bead is one constituent."""
+    signs = [rng.choice((1, -1)) for _ in range(k)]
+    if prod(signs) == 1:
+        signs[0] = -signs[0]
+    beads, fresh = [], k
+    for i, sign in enumerate(signs):
+        a, b = i, (i + 1) % k
+        paths = rng.choice((1, 2, 3))
+        bead = []
+        for _ in range(paths):
+            length = 1 if paths == 1 else rng.randint(1, 3)
+            path, fresh = _path(rng, a, b, length, sign, fresh)
+            bead += path
+        beads.append(bead)
+    return _relabelled(rng, fresh, beads)
+
+
+def _check_necklace(g, beads):
+    """Both matroids split into exactly the beads, which `detect_necklace`
+    returns in ring order; checked against the oracle where m <= 12."""
+    assert set(frame_components(g).classes) == beads
+    assert set(lift_components(g).classes) == beads
+    if g.m <= 12:
+        for fn, independent in (
+            (frame_components, oracle.frame_independent),
+            (lift_components, oracle.lift_independent),
+        ):
+            assert set(fn(g).classes) == set(oracle.brute_matroid_components(g, independent))
+    ring = detect_necklace(g, frozenset(range(g.m)))
+    assert set(ring) == beads
+    if len(ring) > 2:
+        touches = [{v for eid in c for v in (g.edges[eid].u, g.edges[eid].v)} for c in ring]
+        assert all(touches[i] & touches[i - 1] for i in range(len(ring)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ring_necklaces(seed):
+    rng = random.Random(seed)
+    for k in range(2, 9):
+        _check_necklace(*_ring_necklace(rng, k))
+
+
+@pytest.mark.parametrize("n", [5, 8, 11, 40])
+def test_negative_cycle_is_a_necklace_of_edges(n):
+    rng = random.Random(n)
+    _check_necklace(*_relabelled(rng, n, [[(i, (i + 1) % n, -1 if i == 0 else 1)] for i in range(n)]))
+
+
+def test_theta_with_two_equal_sign_paths():
+    """Paths P1, P2 (positive) and P3 (negative) from a = 0 to b = 1: the
+    positive cycle P1 + P2 is one constituent and every edge of P3 is one,
+    since the balancing vertices are a, b and the inside of P3."""
+    rng = random.Random(3)
+    p1, fresh = _path(rng, 0, 1, 2, 1, 2)
+    p2, fresh = _path(rng, 0, 1, 3, 1, fresh)
+    p3, fresh = _path(rng, 0, 1, 4, -1, fresh)
+    g, beads = _relabelled(rng, fresh, [p1 + p2] + [[t] for t in p3])
+    assert len(balancing_vertices(g)) == 5
+    _check_necklace(g, beads)

@@ -72,6 +72,21 @@ class TestClassifyCircuit:
         with pytest.raises(EdgeOutOfRange):
             classify_circuit(fixture("P2"), [7])
 
+    def test_all_edges_of_k10_is_no_circuit(self):
+        # 45 edges > n + 1; enumerating the cycles of K10 would take seconds
+        g = SignedGraph.from_triples(
+            10, [(u, v, -1 if u == 0 else 1) for u in range(10) for v in range(u + 1, 10)]
+        )
+        assert classify_circuit(g, range(g.m)).verdict is CircuitVerdict.NOT_A_CIRCUIT
+
+    def test_third_cycle_ends_the_search(self):
+        # K4 (6 edges, 7 cycles) among 10 vertices: small enough for the size
+        # bound, stopped by the cycle budget
+        g = SignedGraph.from_triples(
+            10, [(0, 1, -1), (0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, 1), (2, 3, -1)]
+        )
+        assert classify_circuit(g, range(6)).verdict is CircuitVerdict.NOT_A_CIRCUIT
+
 
 class TestRanks:
     def test_empty_set(self):

@@ -107,6 +107,27 @@ class TestDetectNecklace:
             frozenset({1, 2, 3, 4, 5}),
         }
 
+    def test_two_necklaces_joined_by_a_path(self):
+        # the component has no balancing vertex, yet each block is a necklace
+        g = SignedGraph.from_triples(
+            7,
+            [
+                (0, 1, 1), (0, 1, 1), (1, 2, 1), (2, 0, -1),  # digon bead + 2 edges
+                (2, 3, 1), (3, 4, 1),  # the path
+                (4, 5, -1), (5, 6, 1), (6, 4, 1),  # negative triangle
+            ],
+        )
+        assert detect_necklace(g, frozenset({0, 1, 2, 3})) == (
+            frozenset({0, 1}),
+            frozenset({2}),
+            frozenset({3}),
+        )
+        assert detect_necklace(g, frozenset({6, 7, 8})) == (
+            frozenset({6}),
+            frozenset({7}),
+            frozenset({8}),
+        )
+
     def test_balanced_block_is_no_necklace(self):
         assert detect_necklace(fixture("T+"), frozenset({0, 1, 2})) is None
 
