@@ -1,8 +1,10 @@
-"""Signed multigraph primitives: graphs, walks, switching, the signed double cover.
+"""Signed multigraph primitives: graphs, their depth-first spine, walks,
+switching, the signed double cover.
 
 Vertices are dense integers 0..n-1 and edge ids are dense 0..m-1.  Loops and
 parallel edges are allowed.  All structures are immutable; every operation is a
-pure function, so concurrent use on a shared graph needs no locking.
+pure function, so concurrent use on a shared graph needs no locking.  Derived
+data (adjacency, spine) is computed on first use and kept on the graph object.
 """
 
 from __future__ import annotations
@@ -62,6 +64,12 @@ class SignedGraph:
                 adj[e.v].append(e)
         return tuple(tuple(a) for a in adj)
 
+    @cached_property
+    def spine(self) -> _Spine:
+        """The depth-first pass that every balance, connection and block
+        notion reads off; computed once per graph object."""
+        return _Spine(self)
+
     def edge(self, eid: int) -> Edge:
         if not 0 <= eid < self.m:
             raise EdgeOutOfRange(f"edge id {eid} out of range")
@@ -101,30 +109,146 @@ class SignedGraph:
         return SignedGraph.from_triples(self.n - 1, triples)
 
 
+class _Spine:
+    """One iterative depth-first pass over g, or over g minus vertex `skip`
+    (vertex ids unchanged): Tarjan's (1972) numbering plus switching
+    potentials, in O(n + m).
+
+    Components are numbered in order of their smallest vertex, which is also
+    their DFS root.  A DFS tree of an undirected graph has no cross edges, so
+    every non-tree edge joins a vertex (its descendant end) to one of that
+    vertex's ancestors (its ancestor end); a loop has both ends at one vertex.
+    Each non-tree edge is classified once, from its descendant end; the tree
+    edge to the parent is excluded by id, so a parallel edge counts as
+    non-tree.  A non-tree edge is frustrated when its sign disagrees with the
+    potentials of its ends: exactly when its fundamental cycle is negative.
+    A component is balanced iff it holds no frustrated edge.
+    """
+
+    __slots__ = (
+        "comp",  # component id per vertex (-1 for the skipped vertex)
+        "parent",  # tree parent per vertex, -1 at roots
+        "parent_edge",  # id of the tree edge to the parent, -1 at roots
+        "order",  # vertices in preorder
+        "disc",  # preorder index per vertex
+        "low",  # least disc reachable from the subtree by one non-tree edge
+        "pot",  # switching potential, +1 at every root
+        "nontree",  # (edge id, descendant end, ancestor end) per non-tree edge
+        "frustrated",  # the frustrated part of `nontree`
+        "comp_frustrated",  # frustrated edge count per component
+    )
+
+    def __init__(self, g: SignedGraph, skip: int = -1):
+        n = g.n
+        adjacency = g.adjacency
+        self.comp = comp = [-1] * n
+        self.parent = parent = [-1] * n
+        self.parent_edge = parent_edge = [-1] * n
+        self.disc = disc = [-1] * n
+        self.low = low = [0] * n
+        self.pot = pot = [0] * n
+        self.order = order = []
+        self.nontree = nontree = []
+        self.frustrated = frustrated = []
+        self.comp_frustrated = comp_frustrated = []
+        for root in range(n):
+            if disc[root] != -1 or root == skip:
+                continue
+            c = len(comp_frustrated)
+            before = len(frustrated)
+            comp[root] = c
+            disc[root] = low[root] = len(order)
+            order.append(root)
+            pot[root] = 1
+            stack = [(root, iter(adjacency[root]))]
+            while stack:
+                v, edges = stack[-1]
+                for e in edges:
+                    w = e.v if e.u == v else e.u
+                    if w == skip:
+                        continue
+                    if disc[w] == -1:
+                        comp[w] = c
+                        parent[w] = v
+                        parent_edge[w] = e.id
+                        disc[w] = low[w] = len(order)
+                        order.append(w)
+                        pot[w] = pot[v] * e.sign
+                        stack.append((w, iter(adjacency[w])))
+                        break
+                    if disc[w] > disc[v] or e.id == parent_edge[v]:
+                        continue  # seen from its ancestor end, or the tree edge up
+                    nontree.append((e.id, v, w))
+                    if pot[v] * pot[w] != e.sign:
+                        frustrated.append((e.id, v, w))
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+                else:
+                    stack.pop()
+                    if stack:
+                        p = stack[-1][0]
+                        if low[v] < low[p]:
+                            low[p] = low[v]
+            comp_frustrated.append(len(frustrated) - before)
+
+    def components(self) -> list[frozenset[int]]:
+        members: list[list[int]] = [[] for _ in self.comp_frustrated]
+        for v in self.order:
+            members[self.comp[v]].append(v)
+        return [frozenset(vs) for vs in members]
+
+    def subtree_sums(self, weight: list[int]) -> list[int]:
+        """Per vertex, the sum of `weight` over its DFS subtree."""
+        acc = list(weight)
+        parent = self.parent
+        for v in reversed(self.order):
+            p = parent[v]
+            if p >= 0:
+                acc[p] += acc[v]
+        return acc
+
+    def bridge_ends(self) -> list[int]:
+        """The child end of every tree edge that is a bridge."""
+        return [
+            c for c in self.order
+            if self.parent[c] >= 0 and self.low[c] > self.disc[self.parent[c]]
+        ]
+
+    def cut_vertices(self) -> frozenset[int]:
+        """Vertices whose deletion disconnects their component: a root with
+        two or more children, or a non-root with a child whose subtree
+        reaches no proper ancestor of it."""
+        out = set()
+        root_children = [0] * len(self.comp_frustrated)
+        for c in self.order:
+            p = self.parent[c]
+            if p < 0:
+                continue
+            if self.parent[p] < 0:
+                root_children[self.comp[p]] += 1
+                if root_children[self.comp[p]] == 2:
+                    out.add(p)
+            elif self.low[c] >= self.disc[p]:
+                out.add(p)
+        return frozenset(out)
+
+
 def connected_components(g: SignedGraph) -> list[frozenset[int]]:
     """Vertex sets of the connected components, ordered by smallest vertex."""
-    seen = [False] * g.n
-    comps = []
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        comp = [root]
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for e in g.adjacency[v]:
-                w = e.other(v)
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(frozenset(comp))
-    return comps
+    return g.spine.components()
 
 
 def is_connected(g: SignedGraph) -> bool:
-    return len(connected_components(g)) <= 1
+    return len(g.spine.comp_frustrated) <= 1
+
+
+def _vertex_set(g: SignedGraph, edge_ids: Iterable[int]) -> set[int]:
+    """The endpoints of the given edges."""
+    out: set[int] = set()
+    for eid in edge_ids:
+        out.add(g.edges[eid].u)
+        out.add(g.edges[eid].v)
+    return out
 
 
 @dataclass(frozen=True)

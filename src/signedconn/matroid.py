@@ -8,8 +8,8 @@ from enum import Enum
 from typing import Iterable, Optional
 
 from . import _cycles, structure
-from .balance import _Spine, _balancing_edges
-from .core import SignedGraph
+from .balance import balancing_edges
+from .core import SignedGraph, _vertex_set
 from .errors import CycleBudgetExceeded, EdgeOutOfRange
 from .sign_connectivity import ComponentPartition, _sorted_classes
 
@@ -48,14 +48,6 @@ class CircuitClassification:
 
 
 _NOT_A_CIRCUIT = CircuitClassification(CircuitVerdict.NOT_A_CIRCUIT)
-
-
-def _vertex_set(g: SignedGraph, edge_ids: Iterable[int]) -> set[int]:
-    out: set[int] = set()
-    for eid in edge_ids:
-        out.add(g.edges[eid].u)
-        out.add(g.edges[eid].v)
-    return out
 
 
 def classify_circuit(g: SignedGraph, edge_ids: Iterable[int]) -> CircuitClassification:
@@ -264,13 +256,13 @@ def frame_isthmi(g: SignedGraph) -> frozenset[int]:
     component lies on one side; the child side holds the frustrated edges
     whose descendant end is in its subtree.
     """
-    sp = _Spine(g)
+    sp = g.spine
     k = sp.comp_frustrated
     below = [0] * g.n
     for _, d, _ in sp.frustrated:
         below[d] += 1
     below = sp.subtree_sums(below)
-    out = set(_balancing_edges(sp))
+    out = set(balancing_edges(g))
     for c in sp.bridge_ends():
         if below[c] in (0, k[sp.comp[c]]):
             out.add(sp.parent_edge[c])
@@ -286,10 +278,10 @@ def lift_isthmi(g: SignedGraph) -> frozenset[int]:
     across components), so with two or more unbalanced components no single
     edge is balancing in this sense.
     """
-    sp = _Spine(g)
+    sp = g.spine
     out = {sp.parent_edge[c] for c in sp.bridge_ends()}
     if sum(1 for k in sp.comp_frustrated if k) == 1:
-        out |= _balancing_edges(sp)
+        out |= balancing_edges(g)
     return frozenset(out)
 
 

@@ -5,13 +5,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .balance import _Spine, _balancing_edges, balancing_vertices, component_balance
+from .balance import balancing_edges, balancing_vertices, component_balance
 from .core import (
     SignedGraph,
     Walk,
     chain_with_sign,
     connected_components,
-    is_connected,
     walk_sign,
 )
 from .errors import NotSignConnected, PreconditionError
@@ -96,8 +95,8 @@ def sign_isthmi(g: SignedGraph) -> frozenset[int]:
     _require_sign_connected(g)
     if g.n == 1:
         raise PreconditionError("sign isthmi are defined for graphs with n > 1")
-    sp = _Spine(g)
-    return frozenset(sp.parent_edge[c] for c in sp.bridge_ends()) | _balancing_edges(sp)
+    sp = g.spine
+    return frozenset(sp.parent_edge[c] for c in sp.bridge_ends()) | balancing_edges(g)
 
 
 def sign_articulation_vertices(g: SignedGraph) -> frozenset[int]:
@@ -107,7 +106,7 @@ def sign_articulation_vertices(g: SignedGraph) -> frozenset[int]:
     _require_sign_connected(g)
     if g.n <= 2:
         return frozenset()
-    return _Spine(g).cut_vertices() | balancing_vertices(g)
+    return g.spine.cut_vertices() | balancing_vertices(g)
 
 
 def is_sign_block(g: SignedGraph) -> bool:
@@ -115,8 +114,9 @@ def is_sign_block(g: SignedGraph) -> bool:
     return not sign_articulation_vertices(g)
 
 
-def _negative_flags(g: SignedGraph, sp: _Spine) -> list[bool]:
+def _negative_flags(g: SignedGraph) -> list[bool]:
     """Per component, whether it holds a negative edge."""
+    sp = g.spine
     flags = [False] * len(sp.comp_frustrated)
     for e in g.edges:
         if e.sign == -1:
@@ -131,10 +131,10 @@ def positive_components(g: SignedGraph) -> ComponentPartition:
     component with a negative edge splits into its two bipartition sides.  A
     component with no edges counts as all positive.
     """
-    sp = _Spine(g)
+    sp = g.spine
     classes: list[frozenset[int]] = []
     for comp, frustrated, has_negative in zip(
-        sp.components(), sp.comp_frustrated, _negative_flags(g, sp)
+        sp.components(), sp.comp_frustrated, _negative_flags(g)
     ):
         if frustrated or not has_negative:
             classes.append(comp)
@@ -148,10 +148,10 @@ def positive_components(g: SignedGraph) -> ComponentPartition:
 def negative_components(g: SignedGraph) -> ComponentPartition:
     """Maximal sets in which vertex pairs are negatively connected, directly
     or through a common negatively-connected neighbor."""
-    sp = _Spine(g)
+    sp = g.spine
     classes: list[frozenset[int]] = []
     for comp, frustrated, has_negative in zip(
-        sp.components(), sp.comp_frustrated, _negative_flags(g, sp)
+        sp.components(), sp.comp_frustrated, _negative_flags(g)
     ):
         if frustrated or has_negative:
             classes.append(comp)

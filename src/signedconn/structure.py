@@ -9,8 +9,8 @@ from enum import Enum
 from typing import Optional
 
 from . import _cycles
-from .balance import _Spine, balancing_vertices
-from .core import SignedGraph, Walk
+from .balance import balancing_vertices
+from .core import SignedGraph, Walk, _vertex_set
 from .errors import NotABlock
 
 
@@ -47,8 +47,6 @@ class Core:
 class BlockDecomposition:
     blocks: tuple[Block, ...]
     articulation_vertices: frozenset[int]
-    components: tuple[frozenset[int], ...]
-    component_balanced: tuple[bool, ...]
     cores: tuple[Core, ...]
 
     def bridges(self) -> frozenset[int]:
@@ -57,7 +55,7 @@ class BlockDecomposition:
         )
 
 
-def _biconnected_edge_groups(sp: _Spine) -> list[list[int]]:
+def _biconnected_edge_groups(g: SignedGraph) -> list[list[int]]:
     """Edge id groups of the biconnected components (loops excluded), read
     off the spine.
 
@@ -66,6 +64,7 @@ def _biconnected_edge_groups(sp: _Spine) -> list[list[int]]:
     edge into the parent.  A non-tree edge closes a cycle with the tree edge
     into its descendant end, so it joins that edge's group.
     """
+    sp = g.spine
     group_of = [-1] * len(sp.comp)
     groups: list[list[int]] = []
     for c in sp.order:
@@ -91,24 +90,17 @@ def block_decomposition(g: SignedGraph) -> BlockDecomposition:
     memo = vars(g)
     if "_block_decomposition" in memo:
         return memo["_block_decomposition"]
-    sp = _Spine(g)
-    comps = sp.components()
+    sp = g.spine
 
-    raw: list[tuple[frozenset[int], frozenset[int]]] = []
-    for group in _biconnected_edge_groups(sp):
-        verts = set()
-        for eid in group:
-            verts.add(g.edges[eid].u)
-            verts.add(g.edges[eid].v)
-        raw.append((frozenset(group), frozenset(verts)))
+    raw: list[tuple[frozenset[int], frozenset[int]]] = [
+        (frozenset(group), frozenset(_vertex_set(g, group)))
+        for group in _biconnected_edge_groups(g)
+    ]
     for e in g.edges:
         if e.u == e.v:
             raw.append((frozenset([e.id]), frozenset([e.u])))
-    covered = set()
-    for _, verts in raw:
-        covered |= verts
     for v in range(g.n):
-        if v not in covered:
+        if not g.adjacency[v]:
             raw.append((frozenset(), frozenset([v])))
     raw.sort(key=lambda bv: (min(bv[1]), sorted(bv[0])))
 
@@ -129,15 +121,13 @@ def block_decomposition(g: SignedGraph) -> BlockDecomposition:
         for (edges, verts), bal, inner in zip(raw, balanced_flags, inner_flags)
     )
 
-    comp_balanced = tuple(k == 0 for k in sp.comp_frustrated)
-
-    inner_by_comp: list[list[Block]] = [[] for _ in comps]
+    inner_by_comp: list[list[Block]] = [[] for _ in sp.comp_frustrated]
     for b in blocks:
         if b.inner:
             inner_by_comp[b.component].append(b)
     cores = []
     for i, inner in enumerate(inner_by_comp):
-        if comp_balanced[i]:
+        if not sp.comp_frustrated[i]:
             continue
         edges: set[int] = set()
         for b in inner:
@@ -147,9 +137,7 @@ def block_decomposition(g: SignedGraph) -> BlockDecomposition:
             necklace = _necklace_constituents(g, inner[0])
         cores.append(Core(i, frozenset(edges), necklace))
 
-    memo["_block_decomposition"] = BlockDecomposition(
-        blocks, articulation, tuple(comps), comp_balanced, tuple(cores)
-    )
+    memo["_block_decomposition"] = BlockDecomposition(blocks, articulation, tuple(cores))
     return memo["_block_decomposition"]
 
 
@@ -244,13 +232,7 @@ def _ring_order(
     smallest edge id and moving toward the smaller-id neighbor."""
     if len(constituents) == 2:
         return tuple(sorted(constituents, key=min))
-    verts = []
-    for c in constituents:
-        vs: set[int] = set()
-        for eid in c:
-            vs.add(g.edges[eid].u)
-            vs.add(g.edges[eid].v)
-        verts.append(vs)
+    verts = [_vertex_set(g, c) for c in constituents]
     k = len(constituents)
     nbrs: list[list[int]] = [[] for _ in range(k)]
     for i in range(k):
@@ -324,12 +306,16 @@ def contains_theta(g: SignedGraph) -> Optional[Theta]:
 
 
 def _extract_theta(g: SignedGraph, block: Block) -> Theta:
-    cycles = _cycles.elementary_cycles(g, block.edges)
-    cyc = cycles[0][0]
-    vc = set()
-    for eid in cyc:
-        vc.add(g.edges[eid].u)
-        vc.add(g.edges[eid].v)
+    """A theta on the fundamental cycle of the block's first non-tree edge
+    (the tree path from its descendant end up to its ancestor end, plus the
+    edge) and an ear of the block leaving that cycle."""
+    sp = g.spine
+    eid, v, top = next(t for t in sp.nontree if t[0] in block.edges)
+    cyc = {eid}
+    while v != top:
+        cyc.add(sp.parent_edge[v])
+        v = sp.parent[v]
+    vc = _vertex_set(g, cyc)
     extra = block.edges - cyc
 
     ear: Optional[list[int]] = None
@@ -380,7 +366,7 @@ def _extract_theta(g: SignedGraph, block: Block) -> Theta:
     return Theta((a, b), (tuple(ear), tuple(arc1), tuple(arc2)))
 
 
-def _cycle_arcs(g: SignedGraph, cyc: frozenset[int], a: int, b: int):
+def _cycle_arcs(g: SignedGraph, cyc: set[int], a: int, b: int):
     """Split an elementary cycle into its two arcs between vertices a and b."""
     adj: dict[int, list] = {}
     for eid in cyc:
@@ -439,10 +425,7 @@ def classify_hypercyclic(g: SignedGraph, w: Walk) -> HypercyclicVerdict:
     cyc = cycles[0][0]
     if any(used[eid] != 1 for eid in cyc):
         return _NOT
-    vc = set()
-    for eid in cyc:
-        vc.add(g.edges[eid].u)
-        vc.add(g.edges[eid].v)
+    vc = _vertex_set(g, cyc)
 
     rest = support - cyc
     if not rest:

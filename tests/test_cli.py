@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from signedconn.cli import main
-from signedconn.io import FIXTURE_NAMES
+from signedconn import SignedGraph, core
+from signedconn.cli import build_report, main
+from signedconn.io import FIXTURE_NAMES, fixture
 
 
 @pytest.fixture(scope="module")
@@ -103,3 +104,25 @@ class TestExitCodes:
 
     def test_bad_edge_id(self, fixture_dir, capsys):
         assert main(["rank", "--kind", "frame", "--edges", "9", str(fixture_dir / "P2.sg")]) == 1
+
+
+# a negative hexagon with chords 1-3 and 3-5: a necklace of four beads
+NECKLACE = SignedGraph.from_triples(
+    6, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (5, 0, -1), (1, 3, 1), (3, 5, 1)]
+)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ("necklace",))
+def test_report_makes_one_full_pass_of_its_graph(name, monkeypatch):
+    g = NECKLACE if name == "necklace" else fixture(name)
+    passes = []
+    init = core._Spine.__init__
+
+    def counting_init(self, graph, skip=-1):
+        if graph is g and skip == -1:
+            passes.append(skip)
+        init(self, graph, skip)
+
+    monkeypatch.setattr(core._Spine, "__init__", counting_init)
+    build_report(g)
+    assert len(passes) == 1

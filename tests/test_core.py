@@ -1,4 +1,5 @@
-"""Graph primitives: walks, switching, the double cover, sign reachability."""
+"""Graph primitives: the spine, walks, switching, the double cover, sign
+reachability."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -168,3 +169,17 @@ class TestGraphBasics:
     def test_subgraph_keeps_vertex_set(self):
         g = fixture("LOOSE").subgraph_of_edges([0, 1, 2])
         assert g.n == 6 and g.m == 3
+
+
+class TestSpine:
+    def test_computed_once_per_graph(self):
+        g = fixture("LOOSE")
+        assert g.spine is g.spine
+
+    def test_derived_graphs_get_their_own(self):
+        g = fixture("T-")
+        without = g.delete_edges([2])
+        switched = switch(g, [0])
+        assert without.spine is not g.spine and switched.spine is not g.spine
+        assert g.spine.frustrated and not without.spine.frustrated
+        assert switched.spine.pot == [1, -1, -1] and g.spine.pot == [1, 1, 1]

@@ -194,6 +194,41 @@ class TestContainsTheta:
                 assert not (vertex_sets[i] & vertex_sets[j])
 
 
+def _complete_with_two_negative_edges(n):
+    negative = {(0, 1), (2, 3)}
+    return SignedGraph.from_triples(
+        n,
+        [(u, v, -1 if (u, v) in negative else 1) for u in range(n) for v in range(u + 1, n)],
+    )
+
+
+def _assert_valid_theta(g, th):
+    """Three edge-disjoint paths from one endpoint to the other whose inner
+    vertices are pairwise disjoint and avoid both endpoints."""
+    a, b = th.endpoints
+    assert a != b
+    inner_sets = []
+    for chain in th.chains:
+        at, seen = a, [a]
+        for eid in chain:
+            e = g.edges[eid]
+            assert at in (e.u, e.v) and e.u != e.v
+            at = e.other(at)
+            seen.append(at)
+        assert at == b and len(set(seen)) == len(seen)
+        inner_sets.append(set(seen[1:-1]))
+    assert len(set().union(*map(set, th.chains))) == sum(map(len, th.chains))
+    for i in range(3):
+        for j in range(i + 1, 3):
+            assert not inner_sets[i] & inner_sets[j]
+
+
+@pytest.mark.parametrize("n", [12, 40])
+def test_theta_in_large_complete_graph(n):
+    g = _complete_with_two_negative_edges(n)
+    _assert_valid_theta(g, contains_theta(g))
+
+
 class TestClassifyHypercyclic:
     def test_pendant_arm(self):
         g = SignedGraph.from_triples(
