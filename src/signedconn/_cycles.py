@@ -6,23 +6,24 @@ enumeration; keep the two independent.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .core import SignedGraph, Sign
 from .errors import CycleBudgetExceeded
 
 
-def elementary_cycles(
+def iter_cycles(
     g: SignedGraph,
     edge_ids: Optional[Iterable[int]] = None,
     max_cycles: Optional[int] = None,
-) -> list[tuple[frozenset[int], Sign]]:
-    """All elementary cycles (as edge id sets with their sign).
+) -> Iterator[tuple[frozenset[int], Sign]]:
+    """Yield every elementary cycle (as an edge id set with its sign) once,
+    as it is found; raise CycleBudgetExceeded on finding a cycle beyond the
+    first max_cycles.
 
     Includes loops and digons from parallel edges.  Each cycle is anchored at
     its smallest vertex, so every cycle is produced exactly once up to
-    direction; directions are deduplicated.  Deterministic order: by
-    (length, sorted edge ids).
+    direction; directions are deduplicated.
     """
     allowed = set(range(g.m)) if edge_ids is None else set(edge_ids)
     adj: list[list] = [[] for _ in range(g.n)]
@@ -35,17 +36,20 @@ def elementary_cycles(
             adj[e.u].append(e)
             adj[e.v].append(e)
 
-    found: dict[frozenset[int], Sign] = {}
+    found: set[frozenset[int]] = set()
 
-    def note(edge_set: frozenset[int], sign: Sign) -> None:
-        if edge_set not in found:
-            found[edge_set] = sign
-            if max_cycles is not None and len(found) > max_cycles:
-                raise CycleBudgetExceeded(f"more than {max_cycles} cycles")
+    def fresh(edge_set: frozenset[int]) -> bool:
+        if edge_set in found:
+            return False
+        found.add(edge_set)
+        if max_cycles is not None and len(found) > max_cycles:
+            raise CycleBudgetExceeded(f"more than {max_cycles} cycles")
+        return True
 
     for v in range(g.n):
         for e in loops[v]:
-            note(frozenset([e.id]), e.sign)
+            if fresh(frozenset([e.id])):
+                yield frozenset([e.id]), e.sign
 
     # DFS on paths whose vertices all exceed the anchor except the anchor
     # itself; closing back to the anchor yields a cycle.
@@ -59,16 +63,20 @@ def elementary_cycles(
                     continue
                 if w == root:
                     if len(used_e) >= 1:  # length >= 2: digon or longer
-                        note(frozenset(used_e) | {e.id}, sign * e.sign)
+                        cycle = frozenset(used_e) | {e.id}
+                        if fresh(cycle):
+                            yield cycle, sign * e.sign
                 elif w > root and w not in used_v:
                     stack.append((w, used_v | {w}, used_e + (e.id,), sign * e.sign))
 
-    return sorted(found.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
 
-
-def negative_cycles(
+def elementary_cycles(
     g: SignedGraph,
     edge_ids: Optional[Iterable[int]] = None,
     max_cycles: Optional[int] = None,
-) -> list[frozenset[int]]:
-    return [c for c, s in elementary_cycles(g, edge_ids, max_cycles) if s == -1]
+) -> list[tuple[frozenset[int], Sign]]:
+    """All elementary cycles of `iter_cycles`, in deterministic order: by
+    (length, sorted edge ids)."""
+    return sorted(
+        iter_cycles(g, edge_ids, max_cycles), key=lambda kv: (len(kv[0]), sorted(kv[0]))
+    )

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from . import _cycles
-from .core import SignedGraph, _Spine, is_connected
+from .core import SignedGraph, is_connected
 from .errors import PreconditionError
 
 
@@ -92,26 +92,48 @@ def balancing_vertices(g: SignedGraph) -> frozenset[int]:
     Such a vertex lies on every negative cycle, in particular on the
     fundamental cycle of every frustrated edge (the tree path from its
     descendant end up to its ancestor end).  Those candidates are counted by
-    subtree sums of +1 at descendant ends and -1 above ancestor ends, and
-    each is confirmed by one spine of the graph without it: O(n + m) per
-    candidate.
+    subtree sums of +1 at descendant ends and -1 above ancestor ends.  A
+    candidate x leaves no frustrated edge inside a child subtree or above x,
+    so deleting x frees each child subtree to be switched as a whole: x is
+    balancing iff, per child c, the non-tree edges from the subtree of c to
+    proper ancestors of x are all frustrated or all unfrustrated.  Those
+    edges are counted by subtree sums of +1 at the descendant end and -1 at
+    the ancestor end's child toward it, read off the root path in preorder.
     """
     sp = g.spine
     k = sp.comp_frustrated
-    on_path = [0] * g.n
+    n = g.n
+    on_path = [0] * n
     for _, d, a in sp.frustrated:
         on_path[d] += 1
         if sp.parent[a] >= 0:
             on_path[sp.parent[a]] -= 1
     on_path = sp.subtree_sums(on_path)
-    out = set()
-    for x in range(g.n):
-        c = sp.comp[x]
-        if k[c] and on_path[x] == k[c]:
-            rest = _Spine(g, skip=x)
-            if all(sp.comp[v] != c for _, v, _ in rest.frustrated):
-                out.add(x)
-    return frozenset(out)
+    up: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
+    for eid, d, a in sp.nontree:
+        if d != a:  # a loop passes above nothing
+            up[d].append((a, sp.pot[d] * sp.pot[a] != g.edges[eid].sign))
+    depth = [0] * n
+    path = [0] * n  # path[i]: the ancestor at depth i of the vertex in hand
+    above = [0] * n
+    f_above = [0] * n
+    for v in sp.order:
+        if sp.parent[v] >= 0:
+            depth[v] = depth[sp.parent[v]] + 1
+        path[depth[v]] = v
+        for a, frustrated in up[v]:
+            toward = path[depth[a] + 1]
+            above[v] += 1
+            above[toward] -= 1
+            if frustrated:
+                f_above[v] += 1
+                f_above[toward] -= 1
+    above = sp.subtree_sums(above)
+    f_above = sp.subtree_sums(f_above)
+    mixed = {sp.parent[c] for c in range(n) if 0 < f_above[c] < above[c]}
+    return frozenset(
+        x for x in range(n) if k[sp.comp[x]] and on_path[x] == k[sp.comp[x]] and x not in mixed
+    )
 
 
 class BalancingEdgeReport(NamedTuple):

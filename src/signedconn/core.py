@@ -110,9 +110,8 @@ class SignedGraph:
 
 
 class _Spine:
-    """One iterative depth-first pass over g, or over g minus vertex `skip`
-    (vertex ids unchanged): Tarjan's (1972) numbering plus switching
-    potentials, in O(n + m).
+    """One iterative depth-first pass over g: Tarjan's (1972) numbering plus
+    switching potentials, in O(n + m).
 
     Components are numbered in order of their smallest vertex, which is also
     their DFS root.  A DFS tree of an undirected graph has no cross edges, so
@@ -126,7 +125,7 @@ class _Spine:
     """
 
     __slots__ = (
-        "comp",  # component id per vertex (-1 for the skipped vertex)
+        "comp",  # component id per vertex
         "parent",  # tree parent per vertex, -1 at roots
         "parent_edge",  # id of the tree edge to the parent, -1 at roots
         "order",  # vertices in preorder
@@ -138,7 +137,7 @@ class _Spine:
         "comp_frustrated",  # frustrated edge count per component
     )
 
-    def __init__(self, g: SignedGraph, skip: int = -1):
+    def __init__(self, g: SignedGraph):
         n = g.n
         adjacency = g.adjacency
         self.comp = comp = [-1] * n
@@ -152,7 +151,7 @@ class _Spine:
         self.frustrated = frustrated = []
         self.comp_frustrated = comp_frustrated = []
         for root in range(n):
-            if disc[root] != -1 or root == skip:
+            if disc[root] != -1:
                 continue
             c = len(comp_frustrated)
             before = len(frustrated)
@@ -165,8 +164,6 @@ class _Spine:
                 v, edges = stack[-1]
                 for e in edges:
                     w = e.v if e.u == v else e.u
-                    if w == skip:
-                        continue
                     if disc[w] == -1:
                         comp[w] = c
                         parent[w] = v

@@ -291,9 +291,13 @@ def is_quasibalanced(
     """True iff every two negative cycles share at least two vertices.
 
     Two unbalanced blocks give disjoint or once-meeting negative cycles, so the
-    answer is immediate unless exactly one block is unbalanced; then the
-    negative cycles of that block are enumerated (budgeted, raising
-    CycleBudgetExceeded beyond max_cycles).
+    answer is immediate unless exactly one block is unbalanced.  That block is
+    the core of the one unbalanced component.  A necklace is quasibalanced:
+    every negative cycle passes through all of its two or more balancing
+    vertices.  Otherwise the block's cycles are streamed, and each negative
+    one is tested for a partner meeting it in at most one vertex; the first
+    partner answers False.  Only a search that finds none within max_cycles
+    cycles raises CycleBudgetExceeded.
     """
     dec = structure.block_decomposition(g)
     unbalanced = [b for b in dec.blocks if not b.balanced]
@@ -301,11 +305,34 @@ def is_quasibalanced(
         return False
     if not unbalanced:
         return True
-    block = unbalanced[0]
-    neg = _cycles.negative_cycles(g, block.edges, max_cycles)
-    vsets = [_vertex_set(g, c) for c in neg]
-    for i in range(len(vsets)):
-        for j in range(i + 1, len(vsets)):
-            if len(vsets[i] & vsets[j]) < 2:
-                return False
+    if dec.cores[0].necklace is not None:
+        return True
+    block = unbalanced[0].edges
+    for cycle, sign in _cycles.iter_cycles(g, block, max_cycles):
+        if sign == -1 and _has_partner(g, block, cycle):
+            return False
     return True
+
+
+def _has_partner(g: SignedGraph, block: frozenset[int], cycle: frozenset[int]) -> bool:
+    """True iff some negative cycle of the block meets the cycle in at most
+    one vertex.
+
+    Such a cycle shares no edge with it (an edge has two ends), and it lies in
+    the block's edges with no end on the cycle (`free`) plus the edges whose
+    only end on the cycle is x (`attached[x]`), for an x where it touches the
+    cycle, or for any x if it does not.  So it exists iff one of those edge
+    sets is unbalanced.  The block is connected, so `free` is empty when no
+    edge is attached.
+    """
+    on_cycle = _vertex_set(g, cycle)
+    free: list[int] = []
+    attached: dict[int, list[int]] = {}
+    for eid in block - cycle:
+        e = g.edges[eid]
+        ends = {e.u, e.v} & on_cycle
+        if not ends:
+            free.append(eid)
+        elif len(ends) == 1:
+            attached.setdefault(ends.pop(), []).append(eid)
+    return any(_parity_forest(g, free + edges)[1] for edges in attached.values())

@@ -168,7 +168,18 @@ def all_negative(g: SignedGraph) -> SignedGraph:
 def is_parity_connected(g: SignedGraph) -> bool:
     """True iff every vertex pair is joined by walks of both parities.
 
-    Signs on g are ignored; for a connected graph with n >= 2 this is
-    equivalent to the underlying graph being non-bipartite.
+    Signs on g are ignored: this is sign connection of `all_negative(g)`.  For
+    a connected graph with n >= 2 it means an odd closed walk, that is a
+    non-tree edge (a loop included) joining two vertices of equal depth
+    parity in the spanning tree.
     """
-    return is_sign_connected(all_negative(g))
+    if g.n == 1:
+        return True
+    sp = g.spine
+    if len(sp.comp_frustrated) != 1:
+        return False
+    odd = [False] * g.n
+    for v in sp.order:
+        if sp.parent[v] >= 0:
+            odd[v] = not odd[sp.parent[v]]
+    return any(odd[d] == odd[a] for _, d, a in sp.nontree)

@@ -15,3 +15,13 @@ def graphs(max_n=5, max_m=6):
             max_size=max_m,
         ).map(lambda triples: SignedGraph.from_triples(n, triples))
     )
+
+
+def complete_with_two_negative_edges(n):
+    """K_n with the disjoint edges 01 and 23 negative: the triangles 014 and
+    235 are disjoint negative cycles."""
+    negative = {(0, 1), (2, 3)}
+    return SignedGraph.from_triples(
+        n,
+        [(u, v, -1 if (u, v) in negative else 1) for u in range(n) for v in range(u + 1, n)],
+    )

@@ -21,6 +21,7 @@ from signedconn import (
     frame_components,
     frame_isthmi,
     frame_rank,
+    is_quasibalanced,
     is_sign_connected,
     lift_components,
     lift_isthmi,
@@ -29,6 +30,8 @@ from signedconn import (
     sign_isthmi,
 )
 from signedconn import oracle
+
+from conftest import complete_with_two_negative_edges
 
 SEEDS = range(12)
 
@@ -99,6 +102,15 @@ def test_balancing_vertices_match_deletion(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_quasibalanced_matches_oracle(seed):
+    rng = random.Random(seed)
+    for _ in range(10):
+        n = rng.randint(5, 8)
+        g = _random_graph(rng, n, rng.randint(0, 12))
+        assert is_quasibalanced(g) == oracle.brute_is_quasibalanced(g), g
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_sign_isthmi_and_articulation_match_oracle(seed):
     checked = 0
     for g in _graphs(seed, 10, 12, connected=True):
@@ -128,6 +140,79 @@ def test_ranks_match_oracle(seed):
 
 
 # -- structured families ----------------------------------------------------
+
+
+def _candidate_above_subtrees(rng):
+    """A path 0..h down to x = h, then three or four small random subtrees
+    hanging from x, each with one to three back edges of random sign to
+    vertices of the path above x.  Tree edges come first, so the spine's DFS
+    tree is this tree: x lies on every frustrated fundamental cycle, and its
+    child subtrees reach above it with all, none or some of their back edges
+    frustrated."""
+    h = rng.randint(2, 4)
+    triples = [(i, i + 1, rng.choice((1, -1))) for i in range(h)]
+    back = []
+    fresh = h + 1
+    for _ in range(rng.randint(3, 4)):
+        members = [fresh]
+        triples.append((h, fresh, rng.choice((1, -1))))
+        fresh += 1
+        for _ in range(rng.randint(0, 2)):
+            triples.append((rng.choice(members), fresh, rng.choice((1, -1))))
+            members.append(fresh)
+            fresh += 1
+        for _ in range(rng.randint(1, 3)):
+            back.append((rng.choice(members), rng.randrange(h), rng.choice((1, -1))))
+    return SignedGraph.from_triples(fresh, triples + back)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_balancing_vertices_with_mixed_back_edges(seed):
+    rng = random.Random(seed)
+    for _ in range(10):
+        g = _candidate_above_subtrees(rng)
+        assert balancing_vertices(g) == _deletion_balancing_vertices(g), g
+
+
+@pytest.mark.parametrize(
+    "triples, balancing",
+    [
+        # x = 2 has one child subtree {3}, with a frustrated back edge to 0
+        # and an unfrustrated one to 1: a negative cycle 0-1-3 avoids x
+        ([(0, 1, +1), (1, 2, +1), (2, 3, +1), (2, 4, +1), (3, 0, -1), (3, 1, +1)], {0, 1, 3}),
+        # x = 2 has children 3 (both back edges frustrated) and 4 (its back
+        # edge unfrustrated): deleting x lets 3 be switched alone; x = 1 has
+        # the one child 2, whose subtree reaches 0 by one edge of each kind
+        ([(0, 1, +1), (1, 2, +1), (2, 3, +1), (2, 4, +1), (3, 0, -1), (3, 1, -1), (4, 0, +1)], {2, 3}),
+    ],
+    ids=["mixed-child", "uniform-children"],
+)
+def test_balancing_vertices_per_child_subtree(triples, balancing):
+    g = SignedGraph.from_triples(5, triples)
+    assert balancing_vertices(g) == frozenset(balancing)
+    assert _deletion_balancing_vertices(g) == frozenset(balancing)
+
+
+def _loopless_connected(rng, n, m):
+    """A random spanning tree plus random non-loop edges, m in all."""
+    triples = [(rng.randrange(v), v, rng.choice((1, -1))) for v in range(1, n)]
+    while len(triples) < m:
+        u, v = rng.sample(range(n), 2)
+        triples.append((u, v, rng.choice((1, -1))))
+    rng.shuffle(triples)
+    return SignedGraph.from_triples(n, triples)
+
+
+@pytest.mark.parametrize("n", [10, 12, 40])
+def test_quasibalance_of_complete_graph_with_two_negative_edges(n):
+    assert is_quasibalanced(complete_with_two_negative_edges(n)) is False
+
+
+@pytest.mark.parametrize("n", [25, 50, 100, 200, 400])
+def test_quasibalance_of_large_sparse_graphs(n):
+    """From n = 50 on, these hold more cycles than the default budget, but an
+    early negative cycle has a partner meeting it in at most one vertex."""
+    assert is_quasibalanced(_loopless_connected(random.Random(n), n, 2 * n)) is False
 
 
 def _check_against_oracles(g):
@@ -312,6 +397,14 @@ def test_ring_necklaces(seed):
         _check_necklace(*_ring_necklace(rng, k))
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_ring_necklaces_are_quasibalanced_without_enumeration(seed):
+    rng = random.Random(seed)
+    for k in range(2, 9):
+        g, _ = _ring_necklace(rng, k)
+        assert is_quasibalanced(g, max_cycles=0) is True
+
+
 @pytest.mark.parametrize("n", [5, 8, 11, 40])
 def test_negative_cycle_is_a_necklace_of_edges(n):
     rng = random.Random(n)
@@ -329,3 +422,28 @@ def test_theta_with_two_equal_sign_paths():
     g, beads = _relabelled(rng, fresh, [p1 + p2] + [[t] for t in p3])
     assert len(balancing_vertices(g)) == 5
     _check_necklace(g, beads)
+
+
+_K4_NEGATIVE = [(u, v, -1) for u in range(4) for v in range(u + 1, 4)]
+
+
+@pytest.mark.parametrize(
+    "n, triples",
+    [
+        (4, _K4_NEGATIVE),
+        # a positive digon 2-3 beside the triangles 0-1-2 and 0-1-3
+        (4, _K4_NEGATIVE + [(2, 3, -1)]),
+        # edge 0-1 subdivided into a negative path through vertex 4
+        (5, _K4_NEGATIVE[1:] + [(0, 4, +1), (4, 1, -1)]),
+    ],
+    ids=["k4", "k4-doubled-edge", "k4-subdivided-edge"],
+)
+def test_quasibalanced_blocks_that_are_not_necklaces(n, triples):
+    """Every cycle is enumerated, and none may count as a partner: positive
+    cycles (such as the digon, which meets the triangle 0-1-2 in one
+    vertex) are not tested."""
+    for seed in range(3):
+        g, _ = _relabelled(random.Random(seed), n, [triples])
+        assert detect_necklace(g, frozenset(range(g.m))) is None
+        assert is_quasibalanced(g) is True
+        assert oracle.brute_is_quasibalanced(g)

@@ -205,5 +205,12 @@ class TestQuasibalance:
         assert is_quasibalanced(fixture("THETA"))
 
     def test_budget_is_enforced(self):
-        with pytest.raises(CycleBudgetExceeded):
-            is_quasibalanced(fixture("UK4"), max_cycles=2)
+        # K4 with every edge negative: quasibalanced (its negative cycles are
+        # the four triangles) but no necklace, so all 7 cycles are enumerated
+        k4 = SignedGraph.from_triples(4, [(u, v, -1) for u in range(4) for v in range(u + 1, 4)])
+        for budget in (2, 6):
+            with pytest.raises(CycleBudgetExceeded):
+                is_quasibalanced(k4, max_cycles=budget)
+        assert is_quasibalanced(k4, max_cycles=7)
+        # UK4 is a necklace: answered without enumerating a cycle
+        assert is_quasibalanced(fixture("UK4"), max_cycles=0) is True

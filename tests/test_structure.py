@@ -18,7 +18,7 @@ from signedconn import (
 )
 from signedconn.io import fixture
 
-from conftest import graphs
+from conftest import complete_with_two_negative_edges, graphs
 
 K4 = SignedGraph.from_triples(
     4, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, 1), (2, 3, 1)]
@@ -194,14 +194,6 @@ class TestContainsTheta:
                 assert not (vertex_sets[i] & vertex_sets[j])
 
 
-def _complete_with_two_negative_edges(n):
-    negative = {(0, 1), (2, 3)}
-    return SignedGraph.from_triples(
-        n,
-        [(u, v, -1 if (u, v) in negative else 1) for u in range(n) for v in range(u + 1, n)],
-    )
-
-
 def _assert_valid_theta(g, th):
     """Three edge-disjoint paths from one endpoint to the other whose inner
     vertices are pairwise disjoint and avoid both endpoints."""
@@ -225,7 +217,7 @@ def _assert_valid_theta(g, th):
 
 @pytest.mark.parametrize("n", [12, 40])
 def test_theta_in_large_complete_graph(n):
-    g = _complete_with_two_negative_edges(n)
+    g = complete_with_two_negative_edges(n)
     _assert_valid_theta(g, contains_theta(g))
 
 
