@@ -93,52 +93,17 @@ def classify_circuit(g: SignedGraph, edge_ids: Iterable[int]) -> CircuitClassifi
         return _NOT_A_CIRCUIT
     if c1 | c2 == F:
         return CircuitClassification(CircuitVerdict.DISJOINT_PAIR, (c1, c2))
-    chain = F - (c1 | c2)
-    if _is_connecting_chain(g, chain, v1, v2):
-        return CircuitClassification(CircuitVerdict.LOOSE_HANDCUFF, (c1, c2), frozenset(chain))
-    return _NOT_A_CIRCUIT
-
-
-def _is_connecting_chain(
-    g: SignedGraph, chain: frozenset[int], v1: set[int], v2: set[int]
-) -> bool:
-    """True iff the edges form a path with one end on each cycle and no other
-    contact with either cycle."""
+    # F holds no third cycle, so its edges off c1 and c2 form a forest.  With
+    # no pendant vertex every tree of it joins c1 to c2 (F is then connected,
+    # |V(F)| = |F| - 1), and a second such path would close a third cycle
     degree: dict[int, int] = {}
-    for eid in chain:
+    for eid in F:
         e = g.edges[eid]
-        if e.u == e.v:
-            return False
         degree[e.u] = degree.get(e.u, 0) + 1
         degree[e.v] = degree.get(e.v, 0) + 1
-    if len(degree) != len(chain) + 1:
-        return False  # path on k edges has k+1 vertices (rules out sub-cycles)
-    tips = [v for v, d in degree.items() if d == 1]
-    if len(tips) != 2 or any(d > 2 for d in degree.values()):
-        return False
-    internal = set(degree) - set(tips)
-    if internal & (v1 | v2):
-        return False
-    a, b = tips
-    if not ((a in v1 and b in v2) or (a in v2 and b in v1)):
-        return False
-    # connectivity: a path's degree profile plus vertex count already force a
-    # single path only if connected; check by walking from one tip
-    seen = {a}
-    adj: dict[int, list] = {}
-    for eid in chain:
-        e = g.edges[eid]
-        adj.setdefault(e.u, []).append(e)
-        adj.setdefault(e.v, []).append(e)
-    stack = [a]
-    while stack:
-        v = stack.pop()
-        for e in adj[v]:
-            w = e.other(v)
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(degree)
+    if 1 in degree.values():
+        return _NOT_A_CIRCUIT
+    return CircuitClassification(CircuitVerdict.LOOSE_HANDCUFF, (c1, c2), F - (c1 | c2))
 
 
 def _parity_forest(g: SignedGraph, edge_ids: Iterable[int]) -> tuple[int, int]:

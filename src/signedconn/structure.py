@@ -104,11 +104,11 @@ def block_decomposition(g: SignedGraph) -> BlockDecomposition:
             raw.append((frozenset(), frozenset([v])))
     raw.sort(key=lambda bv: (min(bv[1]), sorted(bv[0])))
 
-    incidence: Counter = Counter()
-    for _, verts in raw:
-        for v in verts:
-            incidence[v] += 1
-    articulation = frozenset(v for v, k in incidence.items() if k >= 2)
+    # a loop is a block of its own, so its vertex lies in a second block as
+    # soon as it has another incident edge
+    articulation = sp.cut_vertices() | {
+        e.u for e in g.edges if e.u == e.v and len(g.adjacency[e.u]) >= 2
+    }
 
     # the tree path between two vertices of a block stays in the block, so a
     # block is balanced iff it holds no frustrated edge
@@ -126,6 +126,7 @@ def block_decomposition(g: SignedGraph) -> BlockDecomposition:
         if b.inner:
             inner_by_comp[b.component].append(b)
     cores = []
+    S: Optional[frozenset[int]] = None
     for i, inner in enumerate(inner_by_comp):
         if not sp.comp_frustrated[i]:
             continue
@@ -134,7 +135,11 @@ def block_decomposition(g: SignedGraph) -> BlockDecomposition:
             edges |= b.edges
         necklace = None
         if len(inner) == 1:
-            necklace = _necklace_constituents(g, inner[0])
+            # the lone unbalanced block of its component: every cycle lies in
+            # one block, so the component's balancing vertices are the block's
+            if S is None:
+                S = balancing_vertices(g)
+            necklace = _necklace_constituents(g, inner[0], S)
         cores.append(Core(i, frozenset(edges), necklace))
 
     memo["_block_decomposition"] = BlockDecomposition(blocks, articulation, tuple(cores))
@@ -171,38 +176,30 @@ def _inner_blocks(raw, balanced_flags, articulation) -> list[bool]:
 
 
 def _necklace_constituents(
-    g: SignedGraph, block: Block
+    g: SignedGraph, block: Block, S: frozenset[int]
 ) -> Optional[tuple[frozenset[int], ...]]:
     """Finest decomposition of an unbalanced block into >= 2 balanced blocks
-    glued in a ring, or None if the block is not such a necklace.
+    glued in a ring, or None if the block is not such a necklace.  S holds
+    the balancing vertices of the block itself (vertices outside the block
+    are ignored).
 
-    Zaslavsky's necklace picture (Biased graphs II, 1991): let S be the
-    balancing vertices of the block itself.  Every negative cycle passes
-    through all of S, so with |S| >= 2 each S-bridge (a component of B - S
-    with its attachment edges, or one S-S edge) attaches at two vertices
-    a, b of S and is balanced with them: its a-b paths share one sign.  The
-    bridges with equal {a, b} and sign form one constituent.
+    Zaslavsky's necklace picture (Biased graphs II, 1991): every negative
+    cycle passes through all of S, so with |S| >= 2 each S-bridge (a
+    component of B - S with its attachment edges, or one S-S edge) attaches
+    at two vertices a, b of S and is balanced with them: its a-b paths share
+    one sign.  The bridges with equal {a, b} and sign form one constituent.
     """
-    if block.balanced or not block.edges:
-        return None
-    order = sorted(block.edges)
-    # the block's own vertices, relabelled: another unbalanced block in the
-    # component would leave the component without balancing vertices
-    index = {v: i for i, v in enumerate(sorted(block.vertices))}
-    sub = SignedGraph.from_triples(
-        len(index),
-        ((index[g.edges[eid].u], index[g.edges[eid].v], g.edges[eid].sign) for eid in order),
-    )
-    S = balancing_vertices(sub)
+    S = S & block.vertices
     if len(S) < 2:
         return None
     groups: dict[tuple, set[int]] = {}
-    for e in sub.edges:
+    for eid in block.edges:
+        e = g.edges[eid]
         if e.u in S and e.v in S:
-            groups.setdefault((min(e.u, e.v), max(e.u, e.v), e.sign), set()).add(order[e.id])
-    pot = [0] * sub.n  # sign of a path from the bridge's root, 0 if unseen
-    for root in range(sub.n):
-        if root in S or pot[root]:
+            groups.setdefault((min(e.u, e.v), max(e.u, e.v), e.sign), set()).add(eid)
+    pot: dict[int, int] = {}  # sign of a path from the bridge's root
+    for root in block.vertices - S:
+        if root in pot:
             continue
         pot[root] = 1
         edges: set[int] = set()
@@ -210,12 +207,14 @@ def _necklace_constituents(
         stack = [root]
         while stack:
             v = stack.pop()
-            for e in sub.adjacency[v]:
+            for e in g.adjacency[v]:
+                if e.id not in block.edges:
+                    continue
                 w = e.other(v)
-                edges.add(order[e.id])
+                edges.add(e.id)
                 if w in S:
                     ends[w] = pot[v] * e.sign
-                elif not pot[w]:
+                elif w not in pot:
                     pot[w] = pot[v] * e.sign
                     stack.append(w)
         a, b = sorted(ends)
@@ -262,7 +261,10 @@ def detect_necklace(
     match = [b for b in dec.blocks if b.edges == frozenset(block_edges) and b.edges]
     if not match:
         raise NotABlock(f"{sorted(block_edges)} is not a block of the graph")
-    return _necklace_constituents(g, match[0])
+    # the block may sit beside other unbalanced blocks, which would leave its
+    # component without balancing vertices: take them from the block alone
+    S = balancing_vertices(g.subgraph_of_edges(match[0].edges))
+    return _necklace_constituents(g, match[0], S)
 
 
 def is_cactus_forest(g: SignedGraph) -> bool:

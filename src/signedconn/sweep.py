@@ -18,8 +18,7 @@ from .balance import (
     component_balance,
     is_balanced,
 )
-from .core import SignedGraph, is_connected
-from .errors import PreconditionError
+from .core import SignedGraph, connected_components, is_connected
 from .sign_connectivity import (
     is_parity_connected,
     is_sign_connected,
@@ -64,67 +63,6 @@ class SweepResult:
         return suite not in self.first_failure
 
 
-class _Lazy:
-    """Per-graph shared context; everything computed at most once."""
-
-    def __init__(self, g: SignedGraph):
-        self.g = g
-        self._cache: dict[str, object] = {}
-
-    def _get(self, key: str, fn: Callable[[], object]):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
-
-    @property
-    def comps_flags(self):
-        return self._get("cf", lambda: component_balance(self.g))
-
-    @property
-    def connected(self) -> bool:
-        return len(self.comps_flags[0]) <= 1
-
-    @property
-    def balanced(self) -> bool:
-        return all(self.comps_flags[1])
-
-    @property
-    def dec(self) -> structure.BlockDecomposition:
-        return self._get("dec", lambda: structure.block_decomposition(self.g))
-
-    @property
-    def sign_connected(self) -> bool:
-        return self._get("sc", lambda: is_sign_connected(self.g))
-
-    @property
-    def sign_isthmi(self) -> frozenset[int]:
-        return self._get("si", lambda: sign_isthmi(self.g))
-
-    @property
-    def balancing(self) -> frozenset[int]:
-        return self._get("bal", lambda: balancing_edges(self.g))
-
-    @property
-    def frame_isthmi(self) -> frozenset[int]:
-        return self._get("fi", lambda: matroid.frame_isthmi(self.g))
-
-    @property
-    def lift_isthmi(self) -> frozenset[int]:
-        return self._get("li", lambda: matroid.lift_isthmi(self.g))
-
-    @property
-    def frame_circuits(self) -> list[frozenset[int]]:
-        return self._get("fc", lambda: oracle.enumerate_frame_circuits(self.g))
-
-    @property
-    def lift_circuits(self) -> list[frozenset[int]]:
-        return self._get("lc", lambda: oracle.enumerate_lift_circuits(self.g))
-
-    @property
-    def cycles(self):
-        return self._get("cy", lambda: oracle.brute_cycles(self.g))
-
-
 def _closure_classes(m: int, circuits: Iterable[frozenset[int]]) -> set[frozenset[int]]:
     parent = list(range(m))
 
@@ -158,42 +96,43 @@ def _rank_table(m: int, circuits: Iterable[frozenset[int]]) -> list[int]:
     return table
 
 
-def _check_suite_1(ctx: _Lazy, fail):
-    g = ctx.g
-    expected = (ctx.connected and not ctx.balanced) or g.n == 1
-    if ctx.sign_connected != expected:
-        fail(f"is_sign_connected={ctx.sign_connected}, expected {expected}")
+def _check_suite_1(g: SignedGraph, fail):
+    expected = (is_connected(g) and not is_balanced(g)) or g.n == 1
+    sign_connected = is_sign_connected(g)
+    if sign_connected != expected:
+        fail(f"is_sign_connected={sign_connected}, expected {expected}")
     got = set(sign_components(g).classes)
     want = set(oracle.brute_sign_components(g))
     if got != want:
         fail(f"sign components {got} != reachability classes {want}")
 
 
-def _check_suite_2(ctx: _Lazy, fail):
-    if ctx.balanced:
+def _check_suite_2(g: SignedGraph, fail):
+    if is_balanced(g):
         return
-    want = oracle.brute_balancing_edges(ctx.g)
-    if ctx.balancing != want:
-        fail(f"balancing edges {sorted(ctx.balancing)} != deletion oracle {sorted(want)}")
+    want = oracle.brute_balancing_edges(g)
+    balancing = balancing_edges(g)
+    if balancing != want:
+        fail(f"balancing edges {sorted(balancing)} != deletion oracle {sorted(want)}")
         return
-    if not ctx.connected:
+    if not is_connected(g):
         return
-    for eid in range(ctx.g.m):
-        rep = check_balancing_edge_equivalences(ctx.g, eid)
+    for eid in range(g.m):
+        rep = check_balancing_edge_equivalences(g, eid)
         if len(set(rep)) != 1:
             fail(f"edge {eid}: conditions disagree {tuple(rep)}")
             return
 
 
-def _check_suite_3(ctx: _Lazy, fail):
-    g = ctx.g
-    if not ctx.sign_connected or g.n <= 1:
+def _check_suite_3(g: SignedGraph, fail):
+    if not is_sign_connected(g) or g.n <= 1:
         return
     want = oracle.brute_sign_isthmi(g)
-    if ctx.sign_isthmi != want:
-        fail(f"sign isthmi {sorted(ctx.sign_isthmi)} != deletion oracle {sorted(want)}")
+    si = sign_isthmi(g)
+    if si != want:
+        fail(f"sign isthmi {sorted(si)} != deletion oracle {sorted(want)}")
         return
-    expected = ctx.dec.bridges() | ctx.balancing
+    expected = structure.block_decomposition(g).bridges() | balancing_edges(g)
     if expected != want:
         fail(f"isthmi union balancing edges {sorted(expected)} != sign isthmi {sorted(want)}")
         return
@@ -203,11 +142,10 @@ def _check_suite_3(ctx: _Lazy, fail):
         fail(f"sign articulation vertices {sorted(got)} != deletion oracle {sorted(want)}")
 
 
-def _check_suite_4(ctx: _Lazy, fail):
-    g = ctx.g
+def _check_suite_4(g: SignedGraph, fail):
     m = g.m
-    frame_set = set(ctx.frame_circuits)
-    lift_set = set(ctx.lift_circuits)
+    frame_set = set(oracle.enumerate_frame_circuits(g))
+    lift_set = set(oracle.enumerate_lift_circuits(g))
     frame_tab = _rank_table(m, frame_set)
     lift_tab = _rank_table(m, lift_set)
     frame_lib = [0] * (1 << m)
@@ -247,11 +185,12 @@ def _check_suite_4(ctx: _Lazy, fail):
                     return
     in_frame_circuit = set().union(*frame_set) if frame_set else set()
     in_lift_circuit = set().union(*lift_set) if lift_set else set()
-    if ctx.frame_isthmi != frozenset(range(m)) - in_frame_circuit:
-        fail(f"frame coloops {sorted(ctx.frame_isthmi)} != circuit-free edges")
+    fi, li = matroid.frame_isthmi(g), matroid.lift_isthmi(g)
+    if fi != frozenset(range(m)) - in_frame_circuit:
+        fail(f"frame coloops {sorted(fi)} != circuit-free edges")
         return
-    if ctx.lift_isthmi != frozenset(range(m)) - in_lift_circuit:
-        fail(f"lift coloops {sorted(ctx.lift_isthmi)} != circuit-free edges")
+    if li != frozenset(range(m)) - in_lift_circuit:
+        fail(f"lift coloops {sorted(li)} != circuit-free edges")
         return
     if set(matroid.frame_components(g).classes) != _closure_classes(m, frame_set):
         fail("frame components differ from circuit closure")
@@ -260,39 +199,39 @@ def _check_suite_4(ctx: _Lazy, fail):
         fail("lift components differ from circuit closure")
 
 
-def _check_suite_5(ctx: _Lazy, fail):
-    g = ctx.g
+def _check_suite_5(g: SignedGraph, fail):
+    sign_connected = is_sign_connected(g)
     # frame connection implies sign connection -- on unbalanced graphs; a
     # balanced graph can be frame connected (one positive cycle) while its
     # sign components are singletons, so the balanced case is excluded.
-    if not ctx.balanced or g.n == 1:
-        if matroid.is_frame_connected(g) and not ctx.sign_connected:
+    if not is_balanced(g) or g.n == 1:
+        if matroid.is_frame_connected(g) and not sign_connected:
             fail("frame connected but not sign connected")
             return
         if matroid.is_lift_connected(g):
-            for comp in ctx.comps_flags[0]:
+            for comp in connected_components(g):
                 if len(comp) > 1:
                     sub = _induced(g, comp)
                     if not is_sign_connected(sub):
                         fail("lift connected but a component is not sign connected")
                         return
-    if not ctx.sign_connected or g.n <= 1:
+    if not sign_connected or g.n <= 1:
         return
-    si = ctx.sign_isthmi
-    if not ctx.frame_isthmi <= si:
-        fail(f"frame isthmus outside sign isthmi {sorted(ctx.frame_isthmi - si)}")
+    si, fi, li = sign_isthmi(g), matroid.frame_isthmi(g), matroid.lift_isthmi(g)
+    if not fi <= si:
+        fail(f"frame isthmus outside sign isthmi {sorted(fi - si)}")
         return
-    if not ctx.lift_isthmi <= si:
-        fail(f"lift isthmus outside sign isthmi {sorted(ctx.lift_isthmi - si)}")
+    if not li <= si:
+        fail(f"lift isthmus outside sign isthmi {sorted(li - si)}")
         return
-    if not si <= ctx.lift_isthmi:
-        fail(f"sign isthmus that is no lift isthmus {sorted(si - ctx.lift_isthmi)}")
+    if not si <= li:
+        fail(f"sign isthmus that is no lift isthmus {sorted(si - li)}")
         return
     # bridge sign isthmi: sides both sign connected iff not a frame isthmus,
     # iff both sides unbalanced -- provided neither side is a single vertex
     # (a lone vertex counts as sign connected yet makes the bridge a frame
     # isthmus, so it is excluded).
-    for eid in ctx.dec.bridges() & si:
+    for eid in structure.block_decomposition(g).bridges() & si:
         without = g.delete_edges([eid])
         comps, flags = component_balance(without)
         e = g.edges[eid]
@@ -305,7 +244,7 @@ def _check_suite_5(ctx: _Lazy, fail):
             continue
         both_sc = all(is_sign_connected(_induced(without, comp)) for comp, _ in sides)
         both_unbal = all(not bal for _, bal in sides)
-        not_frame = eid not in ctx.frame_isthmi
+        not_frame = eid not in fi
         if both_sc != not_frame or both_sc != both_unbal:
             fail(
                 f"bridge {eid}: sides sign connected={both_sc}, "
@@ -324,10 +263,10 @@ def _induced(g: SignedGraph, comp: frozenset[int]) -> SignedGraph:
     return SignedGraph.from_triples(len(order), triples)
 
 
-def _check_suite_6(ctx: _Lazy, fail):
-    g = ctx.g
+def _check_suite_6(g: SignedGraph, fail):
+    cycles = oracle.brute_cycles(g)
     contra = structure.is_contrabalanced(g)
-    no_pos = all(s == -1 for _, s in ctx.cycles)
+    no_pos = all(s == -1 for _, s in cycles)
     if contra != no_pos:
         fail(f"is_contrabalanced={contra} but positive-cycle-free={no_pos}")
         return
@@ -343,38 +282,43 @@ def _check_suite_6(ctx: _Lazy, fail):
             return
     if not contra:
         return
-    ncyc = len(ctx.cycles)
-    if ctx.connected and g.n >= 2:
-        if ctx.sign_connected != (ncyc >= 1):
-            fail(f"contrabalanced: sign connected={ctx.sign_connected}, cycles={ncyc}")
+    ncyc = len(cycles)
+    connected = is_connected(g)
+    bridges = structure.block_decomposition(g).bridges()
+    if connected and g.n >= 2:
+        sign_connected = is_sign_connected(g)
+        if sign_connected != (ncyc >= 1):
+            fail(f"contrabalanced: sign connected={sign_connected}, cycles={ncyc}")
             return
-        if ncyc == 1 and ctx.sign_isthmi != frozenset(range(g.m)):
+        if ncyc == 1 and sign_isthmi(g) != frozenset(range(g.m)):
             fail("one cycle but not every edge is a sign isthmus")
             return
-        if ncyc >= 2 and ctx.sign_isthmi != ctx.dec.bridges():
+        if ncyc >= 2 and sign_isthmi(g) != bridges:
             fail("several cycles but sign isthmi differ from isthmi")
             return
-    if ctx.connected and g.m >= 2:
+    if connected and g.m >= 2:
         pendant = any(len(g.adjacency[v]) == 1 and g.adjacency[v][0].u != g.adjacency[v][0].v
                       for v in range(g.n))
         cond = ncyc >= 2 and not pendant
         fconn = matroid.is_frame_connected(g)
-        fempty = not ctx.frame_isthmi
+        fi = matroid.frame_isthmi(g)
+        fempty = not fi
         if not (fconn == fempty == cond):
             fail(f"frame connection triple ({fconn},{fempty},{cond}) not equal")
             return
-        if ncyc < 2 and ctx.frame_isthmi != frozenset(range(g.m)):
+        if ncyc < 2 and fi != frozenset(range(g.m)):
             fail("fewer than two cycles but not every edge is a frame isthmus")
             return
     no_isolated = all(g.adjacency[v] for v in range(g.n))
     if g.m >= 2 and no_isolated:
-        cond = ncyc >= 2 and not ctx.dec.bridges()
+        cond = ncyc >= 2 and not bridges
         lconn = matroid.is_lift_connected(g)
-        lempty = not ctx.lift_isthmi
+        li = matroid.lift_isthmi(g)
+        lempty = not li
         if not (lconn == lempty == cond):
             fail(f"lift connection triple ({lconn},{lempty},{cond}) not equal")
             return
-        if ncyc < 2 and ctx.lift_isthmi != frozenset(range(g.m)):
+        if ncyc < 2 and li != frozenset(range(g.m)):
             fail("fewer than two cycles but not every edge is a lift isthmus")
 
 
@@ -393,19 +337,17 @@ def _theta_positive_count(g: SignedGraph, theta: structure.Theta) -> int:
     )
 
 
-def _check_suite_7(ctx: _Lazy, fail):
-    g = ctx.g
+def _check_suite_7(g: SignedGraph, fail):
     got = is_parity_connected(g)
     if g.n == 1:
         expected = True
     else:
-        expected = ctx.connected and not oracle.brute_is_bipartite(g)
+        expected = is_connected(g) and not oracle.brute_is_bipartite(g)
     if got != expected:
         fail(f"is_parity_connected={got}, expected {expected}")
 
 
-def _check_suite_8(ctx: _Lazy, fail):
-    g = ctx.g
+def _check_suite_8(g: SignedGraph, fail):
     if set(positive_components(g).classes) != set(oracle.brute_positive_components(g)):
         fail("positive components differ from positive reachability classes")
         return
@@ -413,32 +355,33 @@ def _check_suite_8(ctx: _Lazy, fail):
         fail("negative components differ from closed negative reachability classes")
 
 
-def _check_suite_9(ctx: _Lazy, fail):
-    g = ctx.g
+def _check_suite_9(g: SignedGraph, fail):
     qb = matroid.is_quasibalanced(g)
     if qb != oracle.brute_is_quasibalanced(g):
         fail(f"is_quasibalanced={qb} disagrees with pairwise intersection test")
         return
-    unbal_blocks = sum(1 for b in ctx.dec.blocks if not b.balanced)
+    unbal_blocks = sum(1 for b in structure.block_decomposition(g).blocks if not b.balanced)
     if unbal_blocks >= 2 and qb:
         fail("two unbalanced blocks but reported quasibalanced")
         return
     if unbal_blocks == 0 and not qb:
         fail("no unbalanced block but reported not quasibalanced")
         return
-    if ctx.connected and qb:
+    if is_connected(g) and qb:
+        coloops = matroid.frame_isthmi(g) & matroid.lift_isthmi(g)
         for e in g.edges:
             if e.u == e.v and e.sign == -1:
-                if e.id not in ctx.frame_isthmi or e.id not in ctx.lift_isthmi:
+                if e.id not in coloops:
                     fail(f"negative loop {e.id} not a frame+lift coloop")
                     return
     # a sign-connected graph with an edge splitting it into two sign-connected
     # pieces that are unbalanced (size > 1 or negative loop) is not
     # quasibalanced; deletion must actually disconnect, otherwise the single
     # remaining piece may hold the only negative cycle
-    if ctx.sign_connected and not qb:
+    sign_connected = is_sign_connected(g)
+    if sign_connected and not qb:
         return
-    if ctx.sign_connected:
+    if sign_connected:
         for eid in range(g.m):
             without = g.delete_edges([eid])
             comps, _ = component_balance(without)
@@ -470,11 +413,10 @@ _CHECKS = {
 
 def check_graph(g: SignedGraph, suites: Optional[Iterable[int]] = None) -> list[Violation]:
     """All suite violations on one graph (at most one per suite)."""
-    ctx = _Lazy(g)
     out: list[Violation] = []
     for suite in sorted(suites or _CHECKS):
         msgs: list[str] = []
-        _CHECKS[suite](ctx, msgs.append)
+        _CHECKS[suite](g, msgs.append)
         for msg in msgs:
             out.append(Violation(suite, msg, g))
     return out

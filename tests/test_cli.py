@@ -114,15 +114,23 @@ NECKLACE = SignedGraph.from_triples(
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES + ("necklace",))
 def test_report_makes_one_full_pass_of_its_graph(name, monkeypatch):
+    """One spine, on any graph, and no graph built: every field reads the
+    spine of the graph it was given."""
     g = NECKLACE if name == "necklace" else fixture(name)
-    passes = []
+    spines, graphs = [], []
     init = core._Spine.__init__
+    post_init = core.SignedGraph.__post_init__
 
     def counting_init(self, graph):
-        if graph is g:
-            passes.append(graph)
+        spines.append(graph)
         init(self, graph)
 
+    def counting_post_init(self):
+        graphs.append(self)
+        post_init(self)
+
     monkeypatch.setattr(core._Spine, "__init__", counting_init)
+    monkeypatch.setattr(core.SignedGraph, "__post_init__", counting_post_init)
     build_report(g)
-    assert len(passes) == 1
+    assert len(spines) == 1 and spines[0] is g
+    assert graphs == []

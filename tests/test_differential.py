@@ -397,6 +397,51 @@ def test_ring_necklaces(seed):
         _check_necklace(*_ring_necklace(rng, k))
 
 
+def _glued_ring_necklace(rng, k):
+    """A ring necklace with balanced blocks glued on at joints and at
+    bead-internal vertices: pendant trees, whose edges are blocks of their
+    own, and positive cycles of length 1 to 4.  Returns the graph, the beads
+    and the edge sets of the glued blocks."""
+    g, beads = _ring_necklace(rng, k)
+    in_beads = [0] * g.n
+    for bead in beads:
+        for v in {x for eid in bead for x in (g.edges[eid].u, g.edges[eid].v)}:
+            in_beads[v] += 1
+    joints = [v for v in range(g.n) if in_beads[v] >= 2]
+    internal = [v for v in range(g.n) if in_beads[v] == 1]
+    sites = rng.sample(joints, 2) + rng.sample(internal, min(2, len(internal)))
+    triples = [(e.u, e.v, e.sign) for e in g.edges]
+    glued, fresh = set(), g.n
+    for at in sites:
+        if rng.random() < 0.5:
+            tree = [at]
+            for _ in range(rng.randint(1, 4)):
+                glued.add(frozenset([len(triples)]))
+                triples.append((rng.choice(tree), fresh, rng.choice((1, -1))))
+                tree.append(fresh)
+                fresh += 1
+        else:
+            path, fresh = _path(rng, at, at, rng.randint(1, 4), 1, fresh)
+            glued.add(frozenset(range(len(triples), len(triples) + len(path))))
+            triples += path
+    return SignedGraph.from_triples(fresh, triples), beads, glued
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ring_necklaces_with_balanced_blocks_glued_on(seed):
+    """The ring is the one unbalanced block of its component, so its beads
+    come from the component's balancing vertices, and each glued block is a
+    matroid component of its own."""
+    rng = random.Random(seed)
+    for k in range(2, 9):
+        g, beads, glued = _glued_ring_necklace(rng, k)
+        (core,) = block_decomposition(g).cores
+        assert set(core.necklace) == beads
+        assert set(detect_necklace(g, frozenset().union(*beads))) == beads
+        assert set(frame_components(g).classes) == beads | glued
+        assert set(lift_components(g).classes) == beads | glued
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_ring_necklaces_are_quasibalanced_without_enumeration(seed):
     rng = random.Random(seed)

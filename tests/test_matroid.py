@@ -64,6 +64,12 @@ class TestClassifyCircuit:
             is CircuitVerdict.NOT_A_CIRCUIT
         )
 
+    def test_loose_handcuff_with_a_pendant_edge(self):
+        # negative loops at 0 and 1 joined by the edge 0-1, and the edge 1-2
+        g = SignedGraph.from_triples(3, [(0, 0, -1), (1, 1, -1), (0, 1, 1), (1, 2, 1)])
+        assert classify_circuit(g, [0, 1, 2]).chain == frozenset({2})
+        assert classify_circuit(g, range(4)).verdict is CircuitVerdict.NOT_A_CIRCUIT
+
     def test_two_negative_loops_at_one_vertex(self):
         g = SignedGraph.from_triples(1, [(0, 0, -1), (0, 0, -1)])
         assert classify_circuit(g, [0, 1]).verdict is CircuitVerdict.TIGHT_HANDCUFF

@@ -75,6 +75,8 @@ class TestBlockDecomposition:
             for b2 in dec.blocks:
                 if b1 is not b2:
                     assert len(b1.vertices & b2.vertices) <= 1
+        in_blocks = [sum(v in b.vertices for b in dec.blocks) for v in range(g.n)]
+        assert dec.articulation_vertices == {v for v in range(g.n) if in_blocks[v] >= 2}
 
 
 class TestDetectNecklace:
