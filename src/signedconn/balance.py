@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from . import _cycles
-from .core import SignedGraph, is_connected
+from .core import SignedGraph, _kept, is_connected
 from .errors import PreconditionError
 
 
@@ -87,7 +87,13 @@ def balancing_edges(g: SignedGraph) -> frozenset[int]:
 
 def balancing_vertices(g: SignedGraph) -> frozenset[int]:
     """Vertices of unbalanced components whose deletion (with incident edges)
-    leaves that component balanced.
+    leaves that component balanced.  Computed once per graph object and kept
+    on it."""
+    return _kept(g, "_balancing_vertices", _balancing_vertices)
+
+
+def _balancing_vertices(g: SignedGraph) -> frozenset[int]:
+    """The balancing vertices, in one pass over the spine.
 
     Such a vertex lies on every negative cycle, in particular on the
     fundamental cycle of every frustrated edge (the tree path from its

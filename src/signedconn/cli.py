@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 from typing import Optional
 
@@ -167,7 +168,20 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    start = time.perf_counter()
     result = sweep.run_sweep(args.max_n, args.max_m, seed=args.seed)
+    seconds = time.perf_counter() - start
+    if args.json:
+        counts = {str(k): result.failure_counts.get(k, 0) for k in sorted(sweep.SUITES)}
+        report = {
+            "graphs_checked": result.graphs_checked,
+            "seconds": seconds,
+            "graphs_per_s": result.graphs_checked / seconds,
+            "failure_counts": counts,
+            "workers": result.workers,
+        }
+        print(json.dumps(report))
+        return 0 if result.ok else 2
     print(f"checked {result.graphs_checked} signed graphs")
     for suite in sorted(sweep.SUITES):
         status = "pass" if result.suite_passed(suite) else "FAIL"
@@ -236,6 +250,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=4)
     p.add_argument("--max-m", type=int, default=5)
     p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--json", action="store_true", help="print one JSON object of counts and timings")
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("fixtures", help="write the named example graph files")

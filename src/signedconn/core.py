@@ -12,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections import deque
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, TypeVar
 
 from .errors import EdgeOutOfRange, InvalidWalk, VertexOutOfRange
 
 Sign = int  # +1 or -1
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -237,6 +238,15 @@ def connected_components(g: SignedGraph) -> list[frozenset[int]]:
 
 def is_connected(g: SignedGraph) -> bool:
     return len(g.spine.comp_frustrated) <= 1
+
+
+def _kept(g: SignedGraph, key: str, compute: Callable[[SignedGraph], T]) -> T:
+    """compute(g), computed once per graph object and kept on it: the graph
+    is immutable, so the result lives and dies with it, like `adjacency`."""
+    memo = vars(g)
+    if key not in memo:
+        memo[key] = compute(g)
+    return memo[key]
 
 
 def _vertex_set(g: SignedGraph, edge_ids: Iterable[int]) -> set[int]:

@@ -43,3 +43,8 @@ class GraphSyntaxError(SignedGraphError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
+        self.message = message
+
+    def __reduce__(self):
+        # the default would call __init__ with the formatted text alone
+        return type(self), (self.line, self.message)

@@ -59,15 +59,20 @@ def classify_circuit(g: SignedGraph, edge_ids: Iterable[int]) -> CircuitClassifi
     them only at its ends.  Lift circuits replace the third shape by a bare
     vertex-disjoint pair of negative cycles.
 
-    Every such circuit has at most n + 1 edges and exactly one or two
-    elementary cycles, so larger sets are rejected up front and the cycle
-    enumeration stops at a third cycle.
+    Every such circuit has no vertex of degree 1 (a loop counts 2), |V(F)|
+    or |V(F)| + 1 edges, and exactly one or two elementary cycles, so other
+    sets are rejected before any cycle is enumerated, and the enumeration
+    stops at a third cycle.
     """
     F = frozenset(edge_ids)
+    degree: dict[int, int] = {}
     for eid in F:
         if not 0 <= eid < g.m:
             raise EdgeOutOfRange(f"edge id {eid} out of range")
-    if len(F) > g.n + 1:
+        e = g.edges[eid]
+        degree[e.u] = degree.get(e.u, 0) + 1
+        degree[e.v] = degree.get(e.v, 0) + 1
+    if 1 in degree.values() or not 0 <= len(F) - len(degree) <= 1:
         return _NOT_A_CIRCUIT
     try:
         cycles = _cycles.elementary_cycles(g, F, max_cycles=2)
@@ -94,15 +99,9 @@ def classify_circuit(g: SignedGraph, edge_ids: Iterable[int]) -> CircuitClassifi
     if c1 | c2 == F:
         return CircuitClassification(CircuitVerdict.DISJOINT_PAIR, (c1, c2))
     # F holds no third cycle, so its edges off c1 and c2 form a forest.  With
-    # no pendant vertex every tree of it joins c1 to c2 (F is then connected,
-    # |V(F)| = |F| - 1), and a second such path would close a third cycle
-    degree: dict[int, int] = {}
-    for eid in F:
-        e = g.edges[eid]
-        degree[e.u] = degree.get(e.u, 0) + 1
-        degree[e.v] = degree.get(e.v, 0) + 1
-    if 1 in degree.values():
-        return _NOT_A_CIRCUIT
+    # no vertex of degree 1 every tree of it joins c1 to c2 (F is then
+    # connected, |V(F)| = |F| - 1), and a second such path would close a
+    # third cycle
     return CircuitClassification(CircuitVerdict.LOOSE_HANDCUFF, (c1, c2), F - (c1 | c2))
 
 

@@ -10,7 +10,7 @@ from typing import Optional
 
 from . import _cycles
 from .balance import balancing_vertices
-from .core import SignedGraph, Walk, _vertex_set
+from .core import SignedGraph, Walk, _kept, _vertex_set
 from .errors import NotABlock
 
 
@@ -85,11 +85,11 @@ def _biconnected_edge_groups(g: SignedGraph) -> list[list[int]]:
 
 def block_decomposition(g: SignedGraph) -> BlockDecomposition:
     """Blocks, articulation vertices and the core of every unbalanced
-    component.  Computed once per graph object and kept on it: the graph is
-    immutable, so the result lives and dies with it, like `adjacency`."""
-    memo = vars(g)
-    if "_block_decomposition" in memo:
-        return memo["_block_decomposition"]
+    component.  Computed once per graph object and kept on it."""
+    return _kept(g, "_block_decomposition", _block_decomposition)
+
+
+def _block_decomposition(g: SignedGraph) -> BlockDecomposition:
     sp = g.spine
 
     raw: list[tuple[frozenset[int], frozenset[int]]] = [
@@ -126,7 +126,6 @@ def block_decomposition(g: SignedGraph) -> BlockDecomposition:
         if b.inner:
             inner_by_comp[b.component].append(b)
     cores = []
-    S: Optional[frozenset[int]] = None
     for i, inner in enumerate(inner_by_comp):
         if not sp.comp_frustrated[i]:
             continue
@@ -137,13 +136,10 @@ def block_decomposition(g: SignedGraph) -> BlockDecomposition:
         if len(inner) == 1:
             # the lone unbalanced block of its component: every cycle lies in
             # one block, so the component's balancing vertices are the block's
-            if S is None:
-                S = balancing_vertices(g)
-            necklace = _necklace_constituents(g, inner[0], S)
+            necklace = _necklace_constituents(g, inner[0], balancing_vertices(g))
         cores.append(Core(i, frozenset(edges), necklace))
 
-    memo["_block_decomposition"] = BlockDecomposition(blocks, articulation, tuple(cores))
-    return memo["_block_decomposition"]
+    return BlockDecomposition(blocks, articulation, tuple(cores))
 
 
 def _inner_blocks(raw, balanced_flags, articulation) -> list[bool]:

@@ -1,14 +1,17 @@
 """Exhaustive verification of the theory's claims on all small signed graphs.
 
 Each numbered suite pits the analysis modules against the independent
-brute-force oracles; `run_sweep` drives the generator and reports the first
-counterexample per suite.
+brute-force oracles; `run_sweep` drives the generator, checks the graphs on
+every usable CPU and reports the first counterexample per suite.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain, islice
 from typing import Callable, Iterable, Optional
 
 from . import matroid, oracle, structure
@@ -54,6 +57,7 @@ class SweepResult:
     graphs_checked: int = 0
     first_failure: dict[int, Violation] = field(default_factory=dict)
     failure_counts: dict[int, int] = field(default_factory=dict)
+    workers: int = 1  # processes that checked the graphs
 
     @property
     def ok(self) -> bool:
@@ -422,6 +426,49 @@ def check_graph(g: SignedGraph, suites: Optional[Iterable[int]] = None) -> list[
     return out
 
 
+BLOCK = 5000  # graphs checked between two `progress` reports
+
+
+def _flat(g: SignedGraph) -> tuple[int, ...]:
+    """g as (n, u, v, sign, u, v, sign, ...): a quarter of its size, and
+    cheap to send to a worker."""
+    return (g.n, *chain.from_iterable((e.u, e.v, e.sign) for e in g.edges))
+
+
+def _graph(flat: tuple[int, ...]) -> SignedGraph:
+    return SignedGraph.from_triples(flat[0], zip(flat[1::3], flat[2::3], flat[3::3]))
+
+
+def _check_slice(
+    suites: Optional[list[int]], flats: list[tuple[int, ...]]
+) -> list[tuple[int, list[tuple[int, str]]]]:
+    """(position, [(suite, message), ...]) per failing graph of a slice, in
+    the slice's order."""
+    out = []
+    for position, flat in enumerate(flats):
+        found = check_graph(_graph(flat), suites)
+        if found:
+            out.append((position, [(v.suite, v.message) for v in found]))
+    return out
+
+
+def _check_block(block: list[tuple[int, ...]], suites: Optional[list[int]], workers, w: int):
+    """(index, [(suite, message), ...]) per failing graph of the block, in
+    index order; worker j checks the graphs with index j modulo w."""
+    if workers is None:
+        return _check_slice(suites, block)
+    parts = workers.map(partial(_check_slice, suites), [block[j::w] for j in range(w)])
+    return sorted(
+        (j + w * position, found) for j, part in enumerate(parts) for position, found in part
+    )
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sweep(
     max_n: int = 4,
     max_m: int = 5,
@@ -433,23 +480,45 @@ def run_sweep(
 
     A seed shuffles the (otherwise deterministic) graph order, which only
     affects which counterexample is reported first.
+
+    The graphs are checked in blocks of BLOCK, each split by index modulo w
+    across w forked workers, one per usable CPU, and the failures are merged
+    in index order: the result is the one a single process gives.  `progress`
+    is called after each full block, when no worker is busy.  With one usable
+    CPU, without the fork start method, or inside a daemonic process (which
+    may not have children), the blocks are checked in this process.  This
+    process keeps the graphs flat (see `_flat`), one block at a time unless
+    a seed shuffles them all.
     """
-    result = SweepResult()
-    graphs = oracle.generate_signed_graphs(max_n, max_m)
+    import multiprocessing  # here: its pool takes tens of ms to import
+
+    flats = map(_flat, oracle.generate_signed_graphs(max_n, max_m))
     if seed is not None:
-        pool = list(graphs)
-        random.Random(seed).shuffle(pool)
-        pool.reverse()
-        # popped as checked, so that no graph (nor what is kept on it, such
-        # as its block decomposition) outlives its check
-        graphs = (pool.pop() for _ in range(len(pool)))
-    for g in graphs:
-        result.graphs_checked += 1
-        for violation in check_graph(g, suites):
-            result.failure_counts[violation.suite] = (
-                result.failure_counts.get(violation.suite, 0) + 1
-            )
-            result.first_failure.setdefault(violation.suite, violation)
-        if progress is not None and result.graphs_checked % 5000 == 0:
-            progress(result.graphs_checked)
+        shuffled = list(flats)
+        random.Random(seed).shuffle(shuffled)
+        shuffled.reverse()
+        # popped as taken, so that the list shrinks block by block
+        flats = (shuffled.pop() for _ in range(len(shuffled)))
+    suites = None if suites is None else list(suites)
+    w = _usable_cpus()
+    if (
+        "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
+    ):
+        w = 1
+    result = SweepResult(workers=w)
+    workers = multiprocessing.get_context("fork").Pool(w) if w > 1 else None
+    try:
+        while block := list(islice(flats, BLOCK)):
+            for i, found in _check_block(block, suites, workers, w):
+                g = _graph(block[i])
+                for suite, message in found:
+                    result.failure_counts[suite] = result.failure_counts.get(suite, 0) + 1
+                    result.first_failure.setdefault(suite, Violation(suite, message, g))
+            result.graphs_checked += len(block)
+            if progress is not None and result.graphs_checked % BLOCK == 0:
+                progress(result.graphs_checked)
+    finally:
+        if workers is not None:
+            workers.terminate()
     return result

@@ -1,10 +1,11 @@
 """The command surface: every answer is the library's answer, exit codes 0/1/2."""
 
 import json
+import multiprocessing
 
 import pytest
 
-from signedconn import SignedGraph, core
+from signedconn import SignedGraph, balance, core, sweep
 from signedconn.cli import build_report, main
 from signedconn.io import FIXTURE_NAMES, fixture
 
@@ -84,7 +85,29 @@ class TestCommands:
     def test_check_small_bounds_passes(self, capsys):
         code, out = run(capsys, "check", "--max-n", "2", "--max-m", "2")
         assert code == 0
-        assert out.count("[pass]") == 9
+        assert out == "checked 38 signed graphs\n" + "".join(
+            f"suite {k} [pass]: {sweep.SUITES[k]}\n" for k in range(1, 10)
+        )
+
+    def test_check_json(self, capsys, monkeypatch):
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+        code, out = run(capsys, "check", "--max-n", "2", "--max-m", "2", "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert list(report) == [
+            "graphs_checked", "seconds", "graphs_per_s", "failure_counts", "workers"
+        ]
+        assert report["graphs_checked"] == 38
+        assert report["failure_counts"] == {str(k): 0 for k in range(1, 10)}
+        assert report["seconds"] > 0
+        assert report["graphs_per_s"] == pytest.approx(38 / report["seconds"])
+        assert report["workers"] == (2 if "fork" in multiprocessing.get_all_start_methods() else 1)
+
+    def test_check_json_counts_failures(self, capsys, monkeypatch):
+        monkeypatch.setattr(sweep, "_CHECKS", {**sweep._CHECKS, 7: lambda g, fail: fail("x")})
+        code, out = run(capsys, "check", "--max-n", "1", "--max-m", "1", "--json")
+        assert code == 2
+        assert json.loads(out)["failure_counts"]["7"] == 3
 
 
 class TestExitCodes:
@@ -134,3 +157,23 @@ def test_report_makes_one_full_pass_of_its_graph(name, monkeypatch):
     build_report(g)
     assert len(spines) == 1 and spines[0] is g
     assert graphs == []
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ("necklace",))
+def test_report_finds_balancing_vertices_once(name, monkeypatch):
+    """Sign articulation vertices and the necklace search share one
+    computation of the balancing vertices, kept on the graph."""
+    # a new graph object, so that nothing is kept on it from another test
+    g = SignedGraph(NECKLACE.n, NECKLACE.edges) if name == "necklace" else fixture(name)
+    calls = []
+    compute = balance._balancing_vertices
+
+    def counting(graph):
+        calls.append(graph)
+        return compute(graph)
+
+    monkeypatch.setattr(balance, "_balancing_vertices", counting)
+    build_report(g)
+    assert calls in ([], [g])
+    if name == "necklace":
+        assert calls == [g]

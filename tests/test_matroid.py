@@ -19,6 +19,7 @@ from signedconn import (
     lift_isthmi,
     lift_rank,
 )
+from signedconn import _cycles, oracle
 from signedconn.io import fixture
 
 from conftest import graphs
@@ -78,8 +79,36 @@ class TestClassifyCircuit:
         with pytest.raises(EdgeOutOfRange):
             classify_circuit(fixture("P2"), [7])
 
+    # a theta (paths 0-1-3, 0-2-3 and 0-3, one of them negative); a positive
+    # triangle with a pendant edge; two negative triangles at vertex 0 (a
+    # tight handcuff) with the chord 1-3 between them
+    THETA = SignedGraph.from_triples(4, [(0, 1, 1), (1, 3, 1), (0, 2, 1), (2, 3, -1), (0, 3, 1)])
+    PENDANT = SignedGraph.from_triples(4, [(0, 1, 1), (1, 2, 1), (2, 0, 1), (2, 3, -1)])
+    CHORDED = SignedGraph.from_triples(
+        5, [(0, 1, 1), (1, 2, 1), (2, 0, -1), (0, 3, 1), (3, 4, 1), (4, 0, -1), (1, 3, 1)]
+    )
+
+    @pytest.mark.parametrize("name", ["THETA", "PENDANT", "CHORDED"])
+    def test_every_subset_agrees_with_the_oracle(self, name):
+        g = getattr(self, name)
+        frame = set(oracle.enumerate_frame_circuits(g))
+        lift = set(oracle.enumerate_lift_circuits(g))
+        for mask in range(1 << g.m):
+            subset = frozenset(e for e in range(g.m) if mask >> e & 1)
+            cls = classify_circuit(g, subset)
+            assert cls.in_frame == (subset in frame) and cls.in_lift == (subset in lift)
+
+    def test_pendant_vertex_or_surplus_edge_is_rejected_before_enumeration(self, monkeypatch):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("cycles enumerated")
+
+        monkeypatch.setattr(_cycles, "elementary_cycles", no_enumeration)
+        # |F| = |V(F)| with a vertex of degree 1, and |F| = |V(F)| + 2
+        for g in (self.PENDANT, self.CHORDED):
+            assert classify_circuit(g, range(g.m)).verdict is CircuitVerdict.NOT_A_CIRCUIT
+
     def test_all_edges_of_k10_is_no_circuit(self):
-        # 45 edges > n + 1; enumerating the cycles of K10 would take seconds
+        # 45 edges on 10 vertices; enumerating the cycles of K10 would take seconds
         g = SignedGraph.from_triples(
             10, [(u, v, -1 if u == 0 else 1) for u in range(10) for v in range(u + 1, 10)]
         )

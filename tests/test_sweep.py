@@ -1,0 +1,103 @@
+"""The sweep's block-parallel `run_sweep` gives what one process checking
+every graph in order gives: the same counts, the same first counterexamples,
+the same progress reports."""
+
+import multiprocessing
+import random
+
+import pytest
+
+from signedconn import oracle, sweep
+from signedconn.errors import PreconditionError
+
+FORK = "fork" in multiprocessing.get_all_start_methods()
+
+
+def _cheap_suite_1(g, fail):
+    # fails on a few hundred graphs, spread over the whole order
+    if sum((e.id + 1) * (3 * e.u + 5 * e.v + (e.sign < 0)) for e in g.edges) % 29 == 7:
+        fail(f"suite 1 on n={g.n} edges={[(e.u, e.v, e.sign) for e in g.edges]}")
+
+
+def _cheap_suite_2(g, fail):
+    negative = sum(e.sign < 0 for e in g.edges)
+    if g.n == 4 and negative == 2 and any(e.u == e.v for e in g.edges):
+        fail(f"suite 2 on {g.edges}")
+        fail("suite 2 again")
+
+
+@pytest.fixture
+def cheap_checks(monkeypatch):
+    monkeypatch.setattr(sweep, "_CHECKS", {1: _cheap_suite_1, 2: _cheap_suite_2})
+
+
+def _in_order(seed):
+    graphs = list(oracle.generate_signed_graphs(4, 4))
+    if seed is not None:
+        random.Random(seed).shuffle(graphs)
+    return graphs
+
+
+def _plain_loop(graphs):
+    """One process, graph by graph: the result the sweep must reproduce,
+    plus the indices of the failing graphs."""
+    counts, first, failing = {}, {}, []
+    for i, g in enumerate(graphs):
+        found = sweep.check_graph(g)
+        if found:
+            failing.append(i)
+        for v in found:
+            counts[v.suite] = counts.get(v.suite, 0) + 1
+            first.setdefault(v.suite, v)
+    return counts, first, failing
+
+
+def _assert_same(result, graphs):
+    counts, first, failing = _plain_loop(graphs)
+    assert {i // sweep.BLOCK for i in failing} == {0, 1, 2}
+    assert result.graphs_checked == len(graphs) == 13_888
+    assert result.failure_counts == counts
+    assert result.first_failure.keys() == first.keys()
+    for suite, v in first.items():
+        got = result.first_failure[suite]
+        assert (got.suite, got.message, got.graph) == (v.suite, v.message, v.graph)
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_merge_equals_one_process_in_order(cheap_checks, monkeypatch, seed, cpus):
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: cpus)
+    reports = []
+    result = sweep.run_sweep(4, 4, seed=seed, progress=reports.append)
+    assert result.workers == (cpus if FORK else 1)
+    _assert_same(result, _in_order(seed))
+    assert reports == [5000, 10000]
+
+
+def test_a_worker_error_comes_out_of_run_sweep(monkeypatch):
+    def raising(g, fail):
+        if g.n == 4 and g.m == 4 and all(e.sign < 0 for e in g.edges):
+            raise PreconditionError("raised in a worker")
+
+    monkeypatch.setattr(sweep, "_CHECKS", {1: raising})
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+    with pytest.raises(PreconditionError, match="raised in a worker"):
+        sweep.run_sweep(4, 4)
+
+
+def _workers_of_a_sweep(queue):
+    queue.put(sweep.run_sweep(2, 2).workers)
+
+
+@pytest.mark.skipif(not FORK, reason="needs the fork start method")
+def test_a_daemonic_process_checks_in_process(monkeypatch):
+    # a daemonic process may not have children, so it checks on its own
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_workers_of_a_sweep, args=(queue,), daemon=True)
+    child.start()
+    workers = queue.get(timeout=60)
+    child.join(60)
+    assert not child.is_alive() and child.exitcode == 0
+    assert workers == 1
