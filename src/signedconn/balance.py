@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from . import _cycles
-from .core import SignedGraph, _kept, is_connected
+from .core import SignedGraph, _kept, connected_components, is_connected
 from .errors import PreconditionError
 
 
@@ -18,8 +18,7 @@ def component_balance(g: SignedGraph) -> tuple[list[frozenset[int]], list[bool]]
     vertex labelling under which every edge sign equals the product of its
     endpoint labels.  A negative loop always conflicts.
     """
-    sp = g.spine
-    return sp.components(), [k == 0 for k in sp.comp_frustrated]
+    return connected_components(g), [k == 0 for k in g.spine.comp_frustrated]
 
 
 def is_balanced(g: SignedGraph) -> bool:
@@ -49,20 +48,26 @@ def harary_bipartition(g: SignedGraph) -> Optional[HararyBipartition]:
     if sp.frustrated:
         return None
     return HararyBipartition(
-        tuple(frozenset(v for v in comp if sp.pot[v] == -1) for comp in sp.components())
+        tuple(frozenset(v for v in comp if sp.pot[v] == -1) for comp in connected_components(g))
     )
 
 
 def balancing_edges(g: SignedGraph) -> frozenset[int]:
     """Edges of unbalanced components whose deletion balances the component.
+    Computed once per graph object and kept on it."""
+    return _kept(g, "_balancing_edges", _balancing_edges)
 
-    Read off the spine: let F be the frustrated edges of the component.
-    Deleting a non-tree edge e keeps the tree and its potentials, so e is
-    balancing iff F = {e}.  Deleting the tree edge above c leaves the subtree
-    of c free to be switched as a whole, so it is balancing iff every
-    non-tree edge across it (a fundamental cycle through it) is frustrated
-    and every frustrated edge crosses it.  Crossing counts are subtree sums
-    of +1 at descendant ends and -1 at ancestor ends.
+
+def _balancing_edges(g: SignedGraph) -> frozenset[int]:
+    """The balancing edges, read off the spine.
+
+    Let F be the frustrated edges of the component.  Deleting a non-tree
+    edge e keeps the tree and its potentials, so e is balancing iff F = {e}.
+    Deleting the tree edge above c leaves the subtree of c free to be
+    switched as a whole, so it is balancing iff every non-tree edge across
+    it (a fundamental cycle through it) is frustrated and every frustrated
+    edge crosses it.  Crossing counts are subtree sums of +1 at descendant
+    ends and -1 at ancestor ends.
     """
     sp = g.spine
     k = sp.comp_frustrated

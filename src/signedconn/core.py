@@ -189,12 +189,6 @@ class _Spine:
                             low[p] = low[v]
             comp_frustrated.append(len(frustrated) - before)
 
-    def components(self) -> list[frozenset[int]]:
-        members: list[list[int]] = [[] for _ in self.comp_frustrated]
-        for v in self.order:
-            members[self.comp[v]].append(v)
-        return [frozenset(vs) for vs in members]
-
     def subtree_sums(self, weight: list[int]) -> list[int]:
         """Per vertex, the sum of `weight` over its DFS subtree."""
         acc = list(weight)
@@ -204,6 +198,15 @@ class _Spine:
             if p >= 0:
                 acc[p] += acc[v]
         return acc
+
+    def fundamental_cycle(self, eid: int, d: int, a: int) -> frozenset[int]:
+        """The cycle that the non-tree edge eid (descendant end d, ancestor
+        end a) closes: the edge plus the tree path from d up to a."""
+        cycle = {eid}
+        while d != a:
+            cycle.add(self.parent_edge[d])
+            d = self.parent[d]
+        return frozenset(cycle)
 
     def bridge_ends(self) -> list[int]:
         """The child end of every tree edge that is a bridge."""
@@ -232,8 +235,17 @@ class _Spine:
 
 
 def connected_components(g: SignedGraph) -> list[frozenset[int]]:
-    """Vertex sets of the connected components, ordered by smallest vertex."""
-    return g.spine.components()
+    """Vertex sets of the connected components, ordered by smallest vertex.
+    Computed once per graph object; each call returns a new list."""
+    return list(_kept(g, "_components", _components))
+
+
+def _components(g: SignedGraph) -> tuple[frozenset[int], ...]:
+    sp = g.spine
+    members: list[list[int]] = [[] for _ in sp.comp_frustrated]
+    for v in sp.order:
+        members[sp.comp[v]].append(v)
+    return tuple(frozenset(vs) for vs in members)
 
 
 def is_connected(g: SignedGraph) -> bool:

@@ -9,7 +9,7 @@ from typing import Iterable, Optional
 
 from . import _cycles, structure
 from .balance import balancing_edges
-from .core import SignedGraph, _vertex_set
+from .core import SignedGraph, _kept, _vertex_set
 from .errors import CycleBudgetExceeded, EdgeOutOfRange
 from .sign_connectivity import ComponentPartition, _sorted_classes
 
@@ -164,7 +164,11 @@ def lift_rank(g: SignedGraph, edge_ids: Iterable[int]) -> int:
 def frame_components(g: SignedGraph) -> ComponentPartition:
     """Edge classes of the frame matroid: blocks outside the cores, the cores
     themselves, except that a single-block necklace core splits into its
-    constituents."""
+    constituents.  Computed once per graph object and kept on it."""
+    return _kept(g, "_frame_components", _frame_components)
+
+
+def _frame_components(g: SignedGraph) -> ComponentPartition:
     dec = structure.block_decomposition(g)
     classes: list[frozenset[int]] = []
     isolated: set[int] = set()
@@ -185,7 +189,12 @@ def lift_components(g: SignedGraph) -> ComponentPartition:
     """Edge classes of the lift matroid: each balanced block separately, and
     all unbalanced blocks merged into one class -- unless the only unbalanced
     block is a necklace, which splits into its constituents.  Such a block is
-    the single-block core of the one unbalanced component."""
+    the single-block core of the one unbalanced component.  Computed once
+    per graph object and kept on it."""
+    return _kept(g, "_lift_components", _lift_components)
+
+
+def _lift_components(g: SignedGraph) -> ComponentPartition:
     dec = structure.block_decomposition(g)
     classes: list[frozenset[int]] = []
     isolated: set[int] = set()
@@ -258,10 +267,12 @@ def is_quasibalanced(
     answer is immediate unless exactly one block is unbalanced.  That block is
     the core of the one unbalanced component.  A necklace is quasibalanced:
     every negative cycle passes through all of its two or more balancing
-    vertices.  Otherwise the block's cycles are streamed, and each negative
-    one is tested for a partner meeting it in at most one vertex; the first
-    partner answers False.  Only a search that finds none within max_cycles
-    cycles raises CycleBudgetExceeded.
+    vertices.  Otherwise each negative cycle is tested for a partner meeting
+    it in at most one vertex, and the first partner answers False: first the
+    fundamental cycles of the frustrated edges, which are negative and all lie
+    in the block, then every cycle of the block as it is streamed.  Only a
+    search that finds none within max_cycles cycles raises
+    CycleBudgetExceeded.
     """
     dec = structure.block_decomposition(g)
     unbalanced = [b for b in dec.blocks if not b.balanced]
@@ -272,6 +283,10 @@ def is_quasibalanced(
     if dec.cores[0].necklace is not None:
         return True
     block = unbalanced[0].edges
+    sp = g.spine
+    for eid, d, a in sp.frustrated:
+        if _has_partner(g, block, sp.fundamental_cycle(eid, d, a)):
+            return False
     for cycle, sign in _cycles.iter_cycles(g, block, max_cycles):
         if sign == -1 and _has_partner(g, block, cycle):
             return False

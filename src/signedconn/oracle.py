@@ -73,8 +73,18 @@ def subset_is_elementary_cycle(g: SignedGraph, subset: Iterable[int]) -> bool:
 def brute_cycles(
     g: SignedGraph, edge_ids: Optional[Iterable[int]] = None
 ) -> list[tuple[frozenset[int], Sign]]:
-    """All elementary cycles found by sweeping every edge subset."""
-    ground = sorted(range(g.m) if edge_ids is None else set(edge_ids))
+    """All elementary cycles found by sweeping every edge subset.  The list
+    for the whole graph is computed once per graph object and kept on it;
+    each call returns a new list."""
+    if edge_ids is not None:
+        return _sweep_cycles(g, sorted(set(edge_ids)))
+    memo = vars(g)
+    if "_oracle_cycles" not in memo:
+        memo["_oracle_cycles"] = tuple(_sweep_cycles(g, list(range(g.m))))
+    return list(memo["_oracle_cycles"])
+
+
+def _sweep_cycles(g: SignedGraph, ground: list[int]) -> list[tuple[frozenset[int], Sign]]:
     out = []
     for mask in range(1, 1 << len(ground)):
         subset = [ground[i] for i in range(len(ground)) if mask >> i & 1]
@@ -113,13 +123,19 @@ def brute_is_quasibalanced(g: SignedGraph) -> bool:
 # ---------------------------------------------------------------------------
 # chain signs by walk dynamic programming
 
-def chain_sign_table(g: SignedGraph) -> list[list[set[Sign]]]:
-    """table[x][y] = set of signs realized by chains from x to y.
+def chain_sign_table(g: SignedGraph) -> list[list[frozenset[Sign]]]:
+    """table[x][y] = set of signs realized by chains from x to y.  Computed
+    once per graph object and kept on it; each call returns new lists."""
+    memo = vars(g)
+    if "_oracle_chain_signs" not in memo:
+        memo["_oracle_chain_signs"] = _chain_signs(g)
+    return [list(row) for row in memo["_oracle_chain_signs"]]
 
-    Walk DP over lengths up to 2n: states (vertex, accumulated sign), seeded
-    at (x, +1); a state set that stops growing is complete.
-    """
-    table: list[list[set[Sign]]] = []
+
+def _chain_signs(g: SignedGraph) -> tuple[tuple[frozenset[Sign], ...], ...]:
+    """Walk DP over lengths up to 2n: states (vertex, accumulated sign),
+    seeded at (x, +1); a state set that stops growing is complete."""
+    table = []
     for x in range(g.n):
         states = {(x, +1)}
         for _ in range(2 * g.n):
@@ -133,8 +149,8 @@ def chain_sign_table(g: SignedGraph) -> list[list[set[Sign]]]:
         row: list[set[Sign]] = [set() for _ in range(g.n)]
         for v, s in states:
             row[v].add(s)
-        table.append(row)
-    return table
+        table.append(tuple(frozenset(signs) for signs in row))
+    return tuple(table)
 
 
 def brute_sign_components(g: SignedGraph) -> list[frozenset[int]]:

@@ -62,8 +62,8 @@ def is_sign_connected(g: SignedGraph) -> bool:
     """True iff the graph is connected and unbalanced, or has one vertex."""
     if g.n == 1:
         return True
-    comps, flags = component_balance(g)
-    return len(comps) == 1 and not flags[0]
+    k = g.spine.comp_frustrated
+    return len(k) == 1 and k[0] > 0
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ def positive_components(g: SignedGraph) -> ComponentPartition:
     sp = g.spine
     classes: list[frozenset[int]] = []
     for comp, frustrated, has_negative in zip(
-        sp.components(), sp.comp_frustrated, _negative_flags(g)
+        connected_components(g), sp.comp_frustrated, _negative_flags(g)
     ):
         if frustrated or not has_negative:
             classes.append(comp)
@@ -151,7 +151,7 @@ def negative_components(g: SignedGraph) -> ComponentPartition:
     sp = g.spine
     classes: list[frozenset[int]] = []
     for comp, frustrated, has_negative in zip(
-        sp.components(), sp.comp_frustrated, _negative_flags(g)
+        connected_components(g), sp.comp_frustrated, _negative_flags(g)
     ):
         if frustrated or has_negative:
             classes.append(comp)

@@ -55,34 +55,6 @@ class BlockDecomposition:
         )
 
 
-def _biconnected_edge_groups(g: SignedGraph) -> list[list[int]]:
-    """Edge id groups of the biconnected components (loops excluded), read
-    off the spine.
-
-    The tree edge into c opens a new group when no non-tree edge leaves the
-    subtree of c above its parent; otherwise it joins the group of the tree
-    edge into the parent.  A non-tree edge closes a cycle with the tree edge
-    into its descendant end, so it joins that edge's group.
-    """
-    sp = g.spine
-    group_of = [-1] * len(sp.comp)
-    groups: list[list[int]] = []
-    for c in sp.order:
-        p = sp.parent[c]
-        if p < 0:
-            continue
-        if sp.low[c] >= sp.disc[p]:
-            group_of[c] = len(groups)
-            groups.append([])
-        else:
-            group_of[c] = group_of[p]
-        groups[group_of[c]].append(sp.parent_edge[c])
-    for eid, d, a in sp.nontree:
-        if d != a:
-            groups[group_of[d]].append(eid)
-    return groups
-
-
 def block_decomposition(g: SignedGraph) -> BlockDecomposition:
     """Blocks, articulation vertices and the core of every unbalanced
     component.  Computed once per graph object and kept on it."""
@@ -90,36 +62,84 @@ def block_decomposition(g: SignedGraph) -> BlockDecomposition:
 
 
 def _block_decomposition(g: SignedGraph) -> BlockDecomposition:
-    sp = g.spine
+    """The blocks in one preorder pass over the spine.
 
-    raw: list[tuple[frozenset[int], frozenset[int]]] = [
-        (frozenset(group), frozenset(_vertex_set(g, group)))
-        for group in _biconnected_edge_groups(g)
+    The tree edge into c opens a new block at its parent h (the block's head)
+    when no non-tree edge leaves the subtree of c above h; otherwise c joins
+    the block of its parent.  A non-tree edge closes a cycle with the tree
+    edge into its descendant end, so it joins that block.  The tree path
+    between two vertices of a block stays in the block, so a block is
+    unbalanced iff a frustrated edge's descendant end falls in it.
+
+    A balanced block is inner iff at least two of its sides in the block-cut
+    tree hold a frustrated edge: the side above its head, and below each
+    other vertex v of it the blocks opened at v and the loops at v.  With
+    below[c] the frustrated edges (negative loops included) whose descendant
+    end is in the subtree of c, the block opened at c has k - below[c] above
+    it, k being its component's frustrated count.
+    """
+    sp = g.spine
+    k = sp.comp_frustrated
+    below = [0] * g.n
+    hang = [0] * g.n  # frustrated edges hanging below v outside v's own block
+    for _, d, a in sp.frustrated:
+        below[d] += 1
+        if d == a:
+            hang[d] += 1
+    below = sp.subtree_sums(below)
+
+    block_of = [-1] * g.n
+    opened_at: list[int] = []
+    edges: list[list[int]] = []
+    verts: list[list[int]] = []
+    for c in sp.order:
+        p = sp.parent[c]
+        if p < 0:
+            continue
+        if sp.low[c] >= sp.disc[p]:
+            block_of[c] = len(opened_at)
+            opened_at.append(c)
+            edges.append([])
+            verts.append([p])
+            hang[p] += below[c]
+        else:
+            block_of[c] = block_of[p]
+        edges[block_of[c]].append(sp.parent_edge[c])
+        verts[block_of[c]].append(c)
+    unbalanced = [False] * len(opened_at)
+    for eid, d, a in sp.nontree:
+        if d != a:
+            edges[block_of[d]].append(eid)
+    for _, d, a in sp.frustrated:
+        if d != a:
+            unbalanced[block_of[d]] = True
+    sides = [int(k[sp.comp[c]] > below[c]) for c in opened_at]
+    for v in sp.order:
+        if block_of[v] >= 0 and hang[v]:
+            sides[block_of[v]] += 1
+
+    raw = [
+        (edges[i], verts[i], not unbalanced[i], unbalanced[i] or sides[i] >= 2, sp.comp[c])
+        for i, c in enumerate(opened_at)
     ]
     for e in g.edges:
         if e.u == e.v:
-            raw.append((frozenset([e.id]), frozenset([e.u])))
+            raw.append(([e.id], [e.u], e.sign == 1, e.sign == -1, sp.comp[e.u]))
     for v in range(g.n):
         if not g.adjacency[v]:
-            raw.append((frozenset(), frozenset([v])))
-    raw.sort(key=lambda bv: (min(bv[1]), sorted(bv[0])))
+            raw.append(([], [v], True, False, sp.comp[v]))
+    # two blocks share no edge, so this is the order of (min vertex, edges)
+    raw.sort(key=lambda r: (min(r[1]), min(r[0], default=-1)))
+    blocks = tuple(
+        Block(frozenset(es), frozenset(vs), bal, inner, comp)
+        for es, vs, bal, inner, comp in raw
+    )
 
     # a loop is a block of its own, so its vertex lies in a second block as
     # soon as it has another incident edge
     articulation = sp.cut_vertices() | {
         e.u for e in g.edges if e.u == e.v and len(g.adjacency[e.u]) >= 2
     }
-
-    # the tree path between two vertices of a block stays in the block, so a
-    # block is balanced iff it holds no frustrated edge
-    frustrated = {eid for eid, _, _ in sp.frustrated}
-    balanced_flags = [frustrated.isdisjoint(edges) for edges, _ in raw]
-    inner_flags = _inner_blocks(raw, balanced_flags, articulation)
-
-    blocks = tuple(
-        Block(edges, verts, bal, inner, sp.comp[min(verts)])
-        for (edges, verts), bal, inner in zip(raw, balanced_flags, inner_flags)
-    )
 
     inner_by_comp: list[list[Block]] = [[] for _ in sp.comp_frustrated]
     for b in blocks:
@@ -129,46 +149,17 @@ def _block_decomposition(g: SignedGraph) -> BlockDecomposition:
     for i, inner in enumerate(inner_by_comp):
         if not sp.comp_frustrated[i]:
             continue
-        edges: set[int] = set()
+        core_edges: set[int] = set()
         for b in inner:
-            edges |= b.edges
+            core_edges |= b.edges
         necklace = None
         if len(inner) == 1:
             # the lone unbalanced block of its component: every cycle lies in
             # one block, so the component's balancing vertices are the block's
             necklace = _necklace_constituents(g, inner[0], balancing_vertices(g))
-        cores.append(Core(i, frozenset(edges), necklace))
+        cores.append(Core(i, frozenset(core_edges), necklace))
 
     return BlockDecomposition(blocks, articulation, tuple(cores))
-
-
-def _inner_blocks(raw, balanced_flags, articulation) -> list[bool]:
-    """A block is inner iff it is unbalanced or lies on a block-cut-tree path
-    between two unbalanced blocks."""
-    n_blocks = len(raw)
-    # block-cut tree: nodes = blocks and articulation vertices
-    nodes = list(range(n_blocks)) + [("v", a) for a in articulation]
-    adj = {node: set() for node in nodes}
-    for i, (_, verts) in enumerate(raw):
-        for a in verts & articulation:
-            adj[i].add(("v", a))
-            adj[("v", a)].add(i)
-
-    keep = {i for i in range(n_blocks) if not balanced_flags[i]}
-    alive = set(nodes)
-    degree = {node: len(adj[node]) for node in nodes}
-    leaves = deque(node for node in nodes if degree[node] <= 1 and node not in keep)
-    while leaves:
-        node = leaves.popleft()
-        if node not in alive:
-            continue
-        alive.discard(node)
-        for nb in adj[node]:
-            if nb in alive:
-                degree[nb] -= 1
-                if degree[nb] <= 1 and nb not in keep:
-                    leaves.append(nb)
-    return [i in alive for i in range(n_blocks)]
 
 
 def _necklace_constituents(
@@ -217,24 +208,23 @@ def _necklace_constituents(
         groups.setdefault((a, b, ends[a] * ends[b]), set()).update(edges)
     if len(groups) < 2:
         return None
-    return _ring_order(g, [frozenset(c) for c in groups.values()])
+    return _ring_order(groups)
 
 
-def _ring_order(
-    g: SignedGraph, constituents: list[frozenset[int]]
-) -> tuple[frozenset[int], ...]:
+def _ring_order(groups: dict[tuple, set[int]]) -> tuple[frozenset[int], ...]:
     """Order necklace constituents cyclically, starting at the one holding the
-    smallest edge id and moving toward the smaller-id neighbor."""
+    smallest edge id and moving toward the smaller-id neighbor.  Two
+    constituents share only vertices of S, and those are the ends a, b of
+    their keys (a, b, sign), so they meet iff their ends do."""
+    constituents = [frozenset(c) for c in groups.values()]
     if len(constituents) == 2:
         return tuple(sorted(constituents, key=min))
-    verts = [_vertex_set(g, c) for c in constituents]
+    at: dict[int, set[int]] = {}
+    for i, (a, b, _) in enumerate(groups):
+        at.setdefault(a, set()).add(i)
+        at.setdefault(b, set()).add(i)
+    nbrs = [sorted((at[a] | at[b]) - {i}) for i, (a, b, _) in enumerate(groups)]
     k = len(constituents)
-    nbrs: list[list[int]] = [[] for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            if verts[i] & verts[j]:
-                nbrs[i].append(j)
-                nbrs[j].append(i)
     if any(len(nb) != 2 for nb in nbrs):
         return tuple(sorted(constituents, key=min))
     start = min(range(k), key=lambda i: min(constituents[i]))
@@ -308,11 +298,7 @@ def _extract_theta(g: SignedGraph, block: Block) -> Theta:
     (the tree path from its descendant end up to its ancestor end, plus the
     edge) and an ear of the block leaving that cycle."""
     sp = g.spine
-    eid, v, top = next(t for t in sp.nontree if t[0] in block.edges)
-    cyc = {eid}
-    while v != top:
-        cyc.add(sp.parent_edge[v])
-        v = sp.parent[v]
+    cyc = sp.fundamental_cycle(*next(t for t in sp.nontree if t[0] in block.edges))
     vc = _vertex_set(g, cyc)
     extra = block.edges - cyc
 

@@ -100,6 +100,33 @@ def _rank_table(m: int, circuits: Iterable[frozenset[int]]) -> list[int]:
     return table
 
 
+def _submodularity_violation(tab: list[int], m: int) -> Optional[tuple[int, int, int]]:
+    """The first (S, e, f), S a mask and e < f elements outside it, with
+    r(S+e) + r(S+f) < r(S+e+f) + r(S); None if the set function `tab` on m
+    elements is submodular.
+
+    For any set function this local form is equivalent to
+    r(A) + r(B) >= r(A | B) + r(A & B) for all A, B (Schrijver, Combinatorial
+    Optimization, 2003, section 44.1).  Local implies global by telescoping:
+    adding elements of Y - X to X one at a time, each step an instance of the
+    local form, gives r(X+b) - r(X) >= r(Y+b) - r(Y) for X <= Y and b outside
+    Y.  With B - A = {b1, ..., bq} and Bj = {b1, ..., bj},
+    r(A | B) - r(A) = sum over j of r(A | Bj) - r(A | Bj-1)
+                   <= sum over j of r((A & B) | Bj) - r((A & B) | Bj-1)
+                    = r(B) - r(A & B).
+    It takes C(m - |S|, 2) checks per S, 80 in all at m = 5, where the loop
+    over all pairs of masks takes 528.
+    """
+    for mask in range(1 << m):
+        rest = [e for e in range(m) if not mask >> e & 1]
+        for i, e in enumerate(rest):
+            with_e = tab[mask | 1 << e]
+            for f in rest[i + 1:]:
+                if with_e + tab[mask | 1 << f] < tab[mask | 1 << e | 1 << f] + tab[mask]:
+                    return mask, e, f
+    return None
+
+
 def _check_suite_1(g: SignedGraph, fail):
     expected = (is_connected(g) and not is_balanced(g)) or g.n == 1
     sign_connected = is_sign_connected(g)
@@ -182,11 +209,10 @@ def _check_suite_4(g: SignedGraph, fail):
                 if not tab[mask] <= up <= tab[mask] + 1:
                     fail(f"{label} rank not unit-increasing at {mask}+{e}")
                     return
-        for a in range(1 << m):
-            for b in range(a, 1 << m):
-                if tab[a | b] + tab[a & b] > tab[a] + tab[b]:
-                    fail(f"{label} rank not submodular on ({a},{b})")
-                    return
+        broken = _submodularity_violation(tab, m)
+        if broken is not None:
+            fail(f"{label} rank not submodular at {broken[0]}+{broken[1]}+{broken[2]}")
+            return
     in_frame_circuit = set().union(*frame_set) if frame_set else set()
     in_lift_circuit = set().union(*lift_set) if lift_set else set()
     fi, li = matroid.frame_isthmi(g), matroid.lift_isthmi(g)

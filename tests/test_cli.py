@@ -5,7 +5,7 @@ import multiprocessing
 
 import pytest
 
-from signedconn import SignedGraph, balance, core, sweep
+from signedconn import SignedGraph, balance, core, matroid, structure, sweep
 from signedconn.cli import build_report, main
 from signedconn.io import FIXTURE_NAMES, fixture
 
@@ -177,3 +177,40 @@ def test_report_finds_balancing_vertices_once(name, monkeypatch):
     assert calls in ([], [g])
     if name == "necklace":
         assert calls == [g]
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ("necklace",))
+def test_report_computes_each_kept_field_once(name, monkeypatch):
+    """The fields that several report entries read are computed once per
+    graph and kept on it."""
+    g = SignedGraph(NECKLACE.n, NECKLACE.edges) if name == "necklace" else fixture(name)
+    calls = []
+    for module, attr in (
+        (structure, "_block_decomposition"),
+        (balance, "_balancing_edges"),
+        (matroid, "_frame_components"),
+        (matroid, "_lift_components"),
+        (core, "_components"),
+    ):
+        compute = getattr(module, attr)
+
+        def counting(graph, attr=attr, compute=compute):
+            calls.append((attr, graph))
+            return compute(graph)
+
+        monkeypatch.setattr(module, attr, counting)
+    build_report(g)
+    assert sorted(attr for attr, _ in calls) == [
+        "_balancing_edges", "_block_decomposition", "_components",
+        "_frame_components", "_lift_components",
+    ]
+    assert all(graph is g for _, graph in calls)
+
+
+def test_returned_component_lists_are_copies():
+    g = SignedGraph.from_triples(4, [(0, 1, -1), (0, 0, -1), (2, 3, 1)])
+    want = [frozenset({0, 1}), frozenset({2, 3})]
+    core.connected_components(g).clear()
+    balance.component_balance(g)[0].append(frozenset({9}))
+    assert core.connected_components(g) == want
+    assert balance.component_balance(g) == (want, [False, True])

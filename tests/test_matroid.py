@@ -22,7 +22,7 @@ from signedconn import (
 from signedconn import _cycles, oracle
 from signedconn.io import fixture
 
-from conftest import graphs
+from conftest import complete_with_two_negative_edges, graphs
 
 
 class TestClassifyCircuit:
@@ -249,3 +249,9 @@ class TestQuasibalance:
         assert is_quasibalanced(k4, max_cycles=7)
         # UK4 is a necklace: answered without enumerating a cycle
         assert is_quasibalanced(fixture("UK4"), max_cycles=0) is True
+
+    @pytest.mark.parametrize("n", [5, 10, 12, 40])
+    def test_a_frustrated_fundamental_cycle_finds_the_partner(self, n):
+        # the triangles 014 and 234 meet in one vertex; no cycle is streamed
+        g = complete_with_two_negative_edges(n)
+        assert is_quasibalanced(g, max_cycles=0) is False

@@ -16,6 +16,15 @@ K4 = SignedGraph.from_triples(
 
 
 class TestCycleEnumeration:
+    def test_kept_answers_are_returned_as_copies(self):
+        g = SignedGraph(K4.n, K4.edges)
+        cycles = oracle.brute_cycles(g)
+        table = oracle.chain_sign_table(g)
+        oracle.brute_cycles(g).clear()
+        oracle.chain_sign_table(g)[0].clear()
+        assert oracle.brute_cycles(g) == cycles and len(cycles) == 7
+        assert oracle.chain_sign_table(g) == table and table[0][1] == {1}
+
     def test_unbalanced_triangle(self):
         cycles = oracle.enumerate_elementary_cycles(fixture("T-"))
         assert cycles == [(frozenset({0, 1, 2}), -1)]

@@ -1,5 +1,9 @@
 """Blocks, cores, necklaces, cactus recognition, thetas, hypercyclic chains."""
 
+import random
+from collections import deque
+from itertools import chain
+
 import pytest
 from hypothesis import given
 
@@ -14,6 +18,7 @@ from signedconn import (
     detect_necklace,
     is_cactus_forest,
     is_contrabalanced,
+    oracle,
     walk_sign,
 )
 from signedconn.io import fixture
@@ -77,6 +82,63 @@ class TestBlockDecomposition:
                     assert len(b1.vertices & b2.vertices) <= 1
         in_blocks = [sum(v in b.vertices for b in dec.blocks) for v in range(g.n)]
         assert dec.articulation_vertices == {v for v in range(g.n) if in_blocks[v] >= 2}
+
+
+def _inner_by_pruning(dec) -> list[bool]:
+    """Reference for `Block.inner`: a block is inner iff it is unbalanced or
+    lies on a block-cut-tree path between two unbalanced blocks.  Leaves of
+    the block-cut tree (blocks and articulation vertices) that are not
+    unbalanced blocks are pruned until none is left."""
+    blocks = dec.blocks
+    nodes = list(range(len(blocks))) + [("v", a) for a in dec.articulation_vertices]
+    adj = {node: set() for node in nodes}
+    for i, b in enumerate(blocks):
+        for a in b.vertices & dec.articulation_vertices:
+            adj[i].add(("v", a))
+            adj[("v", a)].add(i)
+    keep = {i for i, b in enumerate(blocks) if not b.balanced}
+    alive = set(nodes)
+    degree = {node: len(adj[node]) for node in nodes}
+    leaves = deque(node for node in nodes if degree[node] <= 1 and node not in keep)
+    while leaves:
+        node = leaves.popleft()
+        if node not in alive:
+            continue
+        alive.discard(node)
+        for nb in adj[node]:
+            if nb in alive:
+                degree[nb] -= 1
+                if degree[nb] <= 1 and nb not in keep:
+                    leaves.append(nb)
+    return [i in alive for i in range(len(blocks))]
+
+
+def _glued_multigraphs(count, seed):
+    """Disjoint unions of 1-4 random pieces with loops, parallel edges and
+    isolated vertices, on shuffled vertex labels."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        triples, n = [], 0
+        for _ in range(rng.randint(1, 4)):
+            size = rng.randint(1, 5)
+            for _ in range(rng.randint(0, 8)):
+                u = rng.randrange(size)
+                v = u if rng.random() < 0.15 else rng.randrange(size)
+                triples.append((n + u, n + v, rng.choice((1, -1))))
+            n += size
+        label = list(range(n))
+        rng.shuffle(label)
+        yield SignedGraph.from_triples(n, [(label[u], label[v], s) for u, v, s in triples])
+
+
+def test_inner_blocks_match_block_cut_tree_pruning():
+    seen = {"balanced inner": 0, "two unbalanced components": 0}
+    for g in chain(oracle.generate_signed_graphs(4, 4), _glued_multigraphs(3000, 8)):
+        dec = block_decomposition(g)
+        assert [b.inner for b in dec.blocks] == _inner_by_pruning(dec)
+        seen["balanced inner"] += any(b.inner and b.balanced for b in dec.blocks)
+        seen["two unbalanced components"] += len(dec.cores) >= 2
+    assert min(seen.values()) >= 100, seen
 
 
 class TestDetectNecklace:

@@ -1,6 +1,7 @@
 """The sweep's block-parallel `run_sweep` gives what one process checking
 every graph in order gives: the same counts, the same first counterexamples,
-the same progress reports."""
+the same progress reports.  Suite 4's local submodularity check agrees with
+the all-pairs definition."""
 
 import multiprocessing
 import random
@@ -101,3 +102,49 @@ def test_a_daemonic_process_checks_in_process(monkeypatch):
     child.join(60)
     assert not child.is_alive() and child.exitcode == 0
     assert workers == 1
+
+
+def _submodular_by_all_pairs(tab, m):
+    return all(
+        tab[a | b] + tab[a & b] <= tab[a] + tab[b]
+        for a in range(1 << m)
+        for b in range(a, 1 << m)
+    )
+
+
+def _union(bits, mask):
+    out = 0
+    for e, b in enumerate(bits):
+        if mask >> e & 1:
+            out |= b
+    return out
+
+
+def _set_functions(rng, m):
+    """Random tables, coverage functions (submodular) and capped weight sums
+    (submodular), each also with one entry moved by one."""
+    size = 1 << m
+    yield [rng.randint(0, 4) for _ in range(size)]
+    cover = [rng.getrandbits(5) for _ in range(m)]
+    weight = [rng.randint(0, 3) for _ in range(m)]
+    cap = rng.randint(1, 6)
+    for tab in (
+        [_union(cover, mask).bit_count() for mask in range(size)],
+        [min(cap, sum(weight[e] for e in range(m) if mask >> e & 1)) for mask in range(size)],
+    ):
+        yield tab
+        broken = list(tab)
+        broken[rng.randrange(size)] += rng.choice((1, -1))
+        yield broken
+
+
+def test_local_submodularity_agrees_with_all_pairs():
+    rng = random.Random(44)
+    verdicts = []
+    for _ in range(1500):
+        m = rng.choice((3, 4))
+        for tab in _set_functions(rng, m):
+            local = sweep._submodularity_violation(tab, m) is None
+            assert local == _submodular_by_all_pairs(tab, m), (m, tab)
+            verdicts.append(local)
+    assert verdicts.count(True) >= 1000 and verdicts.count(False) >= 1000
