@@ -124,13 +124,11 @@ def _balancing_vertices(g: SignedGraph) -> frozenset[int]:
     for eid, d, a in sp.nontree:
         if d != a:  # a loop passes above nothing
             up[d].append((a, sp.pot[d] * sp.pot[a] != g.edges[eid].sign))
-    depth = [0] * n
+    depth = sp.depth
     path = [0] * n  # path[i]: the ancestor at depth i of the vertex in hand
     above = [0] * n
     f_above = [0] * n
     for v in sp.order:
-        if sp.parent[v] >= 0:
-            depth[v] = depth[sp.parent[v]] + 1
         path[depth[v]] = v
         for a, frustrated in up[v]:
             toward = path[depth[a] + 1]

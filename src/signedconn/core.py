@@ -131,6 +131,7 @@ class _Spine:
         "parent_edge",  # id of the tree edge to the parent, -1 at roots
         "order",  # vertices in preorder
         "disc",  # preorder index per vertex
+        "depth",  # tree depth per vertex, 0 at roots
         "low",  # least disc reachable from the subtree by one non-tree edge
         "pot",  # switching potential, +1 at every root
         "nontree",  # (edge id, descendant end, ancestor end) per non-tree edge
@@ -145,6 +146,7 @@ class _Spine:
         self.parent = parent = [-1] * n
         self.parent_edge = parent_edge = [-1] * n
         self.disc = disc = [-1] * n
+        self.depth = depth = [0] * n
         self.low = low = [0] * n
         self.pot = pot = [0] * n
         self.order = order = []
@@ -170,6 +172,7 @@ class _Spine:
                         parent[w] = v
                         parent_edge[w] = e.id
                         disc[w] = low[w] = len(order)
+                        depth[w] = depth[v] + 1
                         order.append(w)
                         pot[w] = pot[v] * e.sign
                         stack.append((w, iter(adjacency[w])))
@@ -207,13 +210,6 @@ class _Spine:
             cycle.add(self.parent_edge[d])
             d = self.parent[d]
         return frozenset(cycle)
-
-    def bridge_ends(self) -> list[int]:
-        """The child end of every tree edge that is a bridge."""
-        return [
-            c for c in self.order
-            if self.parent[c] >= 0 and self.low[c] > self.disc[self.parent[c]]
-        ]
 
     def cut_vertices(self) -> frozenset[int]:
         """Vertices whose deletion disconnects their component: a root with

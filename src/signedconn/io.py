@@ -7,7 +7,8 @@ File format::
     ...
 
 Comment lines start with '#'; blank lines are ignored.  Edge ids follow line
-order, repeated lines are parallel edges, u = v is a loop.
+order, repeated lines are parallel edges, u = v is a loop.  The vertex count
+is capped at `_MAX_N`, since every analysis allocates lists of length n.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .core import SignedGraph
 from .errors import GraphSyntaxError, VertexOutOfRange
 
 _HEADER = "signed-graph n="
+_MAX_N = 10**6
 
 
 def parse(text: str) -> SignedGraph:
@@ -35,6 +37,8 @@ def parse(text: str) -> SignedGraph:
                 raise GraphSyntaxError(lineno, f"bad vertex count in {line!r}") from None
             if n < 0:
                 raise GraphSyntaxError(lineno, "vertex count must be nonnegative")
+            if n > _MAX_N:
+                raise GraphSyntaxError(lineno, f"vertex count {n} exceeds {_MAX_N}")
             continue
         parts = line.split()
         if len(parts) != 3 or parts[2] not in ("+", "-"):

@@ -8,7 +8,6 @@ from enum import Enum
 from typing import Iterable, Optional
 
 from . import _cycles, structure
-from .balance import balancing_edges
 from .core import SignedGraph, _kept, _vertex_set
 from .errors import CycleBudgetExceeded, EdgeOutOfRange
 from .sign_connectivity import ComponentPartition, _sorted_classes
@@ -223,23 +222,8 @@ def is_lift_connected(g: SignedGraph) -> bool:
 
 def frame_isthmi(g: SignedGraph) -> frozenset[int]:
     """Coloops of the frame matroid: balancing edges, bridges of balanced
-    components, and bridges of unbalanced components with a balanced side.
-
-    No non-tree edge crosses a bridge, so each frustrated edge of the
-    component lies on one side; the child side holds the frustrated edges
-    whose descendant end is in its subtree.
-    """
-    sp = g.spine
-    k = sp.comp_frustrated
-    below = [0] * g.n
-    for _, d, _ in sp.frustrated:
-        below[d] += 1
-    below = sp.subtree_sums(below)
-    out = set(balancing_edges(g))
-    for c in sp.bridge_ends():
-        if below[c] in (0, k[sp.comp[c]]):
-            out.add(sp.parent_edge[c])
-    return frozenset(out)
+    components, and bridges of unbalanced components with a balanced side."""
+    return _coloops(g, frame_components(g))
 
 
 def lift_isthmi(g: SignedGraph) -> frozenset[int]:
@@ -251,10 +235,23 @@ def lift_isthmi(g: SignedGraph) -> frozenset[int]:
     across components), so with two or more unbalanced components no single
     edge is balancing in this sense.
     """
-    sp = g.spine
-    out = {sp.parent_edge[c] for c in sp.bridge_ends()}
-    if sum(1 for k in sp.comp_frustrated if k) == 1:
-        out |= balancing_edges(g)
+    return _coloops(g, lift_components(g))
+
+
+def _coloops(g: SignedGraph, components: ComponentPartition) -> frozenset[int]:
+    """The coloops of a matroid on the edges of g, read off its components.
+
+    An element in no circuit is a component by itself, and so is a matroid
+    loop: for the frame and lift matroids, a positive loop edge (Zaslavsky,
+    "Signed graphs", 1982).  So the coloops are the one-edge classes that are
+    not positive loops.
+    """
+    out = set()
+    for cls in components.classes:
+        if len(cls) == 1:
+            e = g.edges[next(iter(cls))]
+            if e.u != e.v or e.sign == -1:
+                out.add(e.id)
     return frozenset(out)
 
 

@@ -14,6 +14,7 @@ from .core import (
     walk_sign,
 )
 from .errors import NotSignConnected, PreconditionError
+from .structure import block_decomposition
 
 
 @dataclass(frozen=True)
@@ -32,9 +33,6 @@ class ComponentPartition:
     @property
     def q(self) -> int:
         return len(self.classes) + len(self.isolated_vertices)
-
-    def as_sets(self) -> frozenset[frozenset[int]]:
-        return frozenset(self.classes)
 
 
 def _sorted_classes(classes) -> tuple[frozenset[int], ...]:
@@ -95,8 +93,7 @@ def sign_isthmi(g: SignedGraph) -> frozenset[int]:
     _require_sign_connected(g)
     if g.n == 1:
         raise PreconditionError("sign isthmi are defined for graphs with n > 1")
-    sp = g.spine
-    return frozenset(sp.parent_edge[c] for c in sp.bridge_ends()) | balancing_edges(g)
+    return block_decomposition(g).bridges() | balancing_edges(g)
 
 
 def sign_articulation_vertices(g: SignedGraph) -> frozenset[int]:
@@ -178,8 +175,5 @@ def is_parity_connected(g: SignedGraph) -> bool:
     sp = g.spine
     if len(sp.comp_frustrated) != 1:
         return False
-    odd = [False] * g.n
-    for v in sp.order:
-        if sp.parent[v] >= 0:
-            odd[v] = not odd[sp.parent[v]]
-    return any(odd[d] == odd[a] for _, d, a in sp.nontree)
+    depth = sp.depth
+    return any((depth[d] - depth[a]) % 2 == 0 for _, d, a in sp.nontree)

@@ -121,6 +121,12 @@ class TestExitCodes:
         assert main(["analyze", str(bad)]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_vertex_count_above_cap_is_an_error(self, tmp_path, capsys):
+        big = tmp_path / "big.sg"
+        big.write_text("signed-graph n=1000001\n")
+        assert main(["analyze", str(big)]) == 1
+        assert "error: line 1" in capsys.readouterr().err
+
     def test_precondition_failure_is_an_error(self, fixture_dir, capsys):
         # sign isthmi are undefined for balanced graphs
         assert main(["isthmi", "--kind", "sign", str(fixture_dir / "T+.sg")]) == 1

@@ -1,7 +1,7 @@
 """Seeded differential tests beyond the exhaustive n <= 4 sweep, plus
 structured families that exercise the spine's special cases (edges parallel
-to tree edges, negative loops, several unbalanced components, deep trees)
-and necklaces of up to eight beads.
+to tree edges, negative loops, several unbalanced components, deep trees),
+necklaces of up to eight beads, and cacti.
 
 Every expected value comes from the brute-force oracle or from a
 definition-level deletion check on chain signs, never from the library.
@@ -17,10 +17,13 @@ from signedconn import (
     balancing_edges,
     balancing_vertices,
     block_decomposition,
+    contains_theta,
     detect_necklace,
     frame_components,
     frame_isthmi,
     frame_rank,
+    is_cactus_forest,
+    is_contrabalanced,
     is_quasibalanced,
     is_sign_connected,
     lift_components,
@@ -492,3 +495,91 @@ def test_quasibalanced_blocks_that_are_not_necklaces(n, triples):
         assert detect_necklace(g, frozenset(range(g.m))) is None
         assert is_quasibalanced(g) is True
         assert oracle.brute_is_quasibalanced(g)
+
+
+# -- cacti -------------------------------------------------------------------
+
+
+def _random_cactus(rng, max_m):
+    """Pieces (lists of triples) of a cactus grown from vertex 0, each
+    attached at an existing vertex: a bridge to a new vertex, a loop, or a
+    cycle of length 2 to 5 through new vertices, with random signs, up to
+    max_m edges.  Half the cacti get only negative cycles.  Returns the
+    vertex count and the pieces, which are the blocks with edges."""
+    negative = rng.random() < 0.5
+    n, m, pieces = 1, 0, []
+    while m < max_m:
+        a = rng.randrange(n)
+        kind = rng.choice(("bridge", "loop", "cycle") if max_m - m >= 2 else ("bridge", "loop"))
+        if kind == "bridge":
+            pieces.append([(a, n, rng.choice((1, -1)))])
+            n += 1
+        elif kind == "loop":
+            pieces.append([(a, a, -1 if negative else rng.choice((1, -1)))])
+        else:
+            length = rng.randint(2, min(5, max_m - m))
+            ring = [a] + list(range(n, n + length - 1))
+            n += length - 1
+            signs = [rng.choice((1, -1)) for _ in ring]
+            if negative and prod(signs) == 1:
+                signs[0] = -signs[0]
+            pieces.append([(ring[i - 1], ring[i], signs[i]) for i in range(length)])
+        m += len(pieces[-1])
+    return n, pieces
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_cacti(seed):
+    rng = random.Random(seed)
+    for _ in range(6):
+        g, pieces = _relabelled(rng, *_random_cactus(rng, rng.randint(1, 12)))
+        assert {b.edges for b in block_decomposition(g).blocks if b.edges} == pieces
+        assert is_cactus_forest(g) and contains_theta(g) is None
+        assert is_contrabalanced(g) == all(s == -1 for _, s in oracle.brute_cycles(g)), g
+        if is_sign_connected(g) and g.n > 1:
+            assert sign_isthmi(g) == oracle.brute_sign_isthmi(g), g
+        if g.m <= 8:
+            assert frame_isthmi(g) == oracle.brute_coloops(g, oracle.frame_independent), g
+            assert lift_isthmi(g) == oracle.brute_coloops(g, oracle.lift_independent), g
+
+
+def _path_inner_vertices(g, chain, a, b):
+    """The inner vertices of the chain if its edges, in any order, form a
+    path from a to b with no repeated vertex; None otherwise."""
+    left = set(chain)
+    seen = [a]
+    while left:
+        step = [eid for eid in left if seen[-1] in (g.edges[eid].u, g.edges[eid].v)]
+        if len(step) != 1:
+            return None
+        left.remove(step[0])
+        nxt = g.edges[step[0]].other(seen[-1])
+        if nxt in seen:
+            return None
+        seen.append(nxt)
+    if len(set(chain)) != len(chain) or seen[-1] != b:
+        return None
+    return set(seen[1:-1])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cactus_with_a_chord_holds_a_theta(seed):
+    """A chord between two vertices of one cycle (parallel to a cycle edge
+    when they are adjacent) leaves three internally disjoint chains between
+    its ends: no cactus."""
+    rng = random.Random(seed)
+    for _ in range(4):
+        n, pieces = _random_cactus(rng, rng.randint(1, 15))
+        ring = [0] + list(range(n, n + rng.randint(1, 4)))
+        cycle = [(ring[i - 1], ring[i], rng.choice((1, -1))) for i in range(len(ring))]
+        a, b = rng.sample(ring, 2)
+        g, _ = _relabelled(rng, ring[-1] + 1, pieces + [cycle + [(a, b, rng.choice((1, -1)))]])
+        assert not is_cactus_forest(g)
+        theta = contains_theta(g)
+        assert theta is not None
+        x, y = theta.endpoints
+        assert x != y
+        inner = [_path_inner_vertices(g, chain, x, y) for chain in theta.chains]
+        assert None not in inner, theta
+        assert len(set().union(*theta.chains)) == sum(len(c) for c in theta.chains)
+        assert all(not (inner[i] & inner[j]) for i in range(3) for j in range(i)), theta

@@ -1,0 +1,32 @@
+"""The library stays stdlib-only: every absolute import in the package,
+function-level imports included, names a standard-library module."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "signedconn"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _absolute_imports(path):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_package_modules_found():
+    assert PACKAGE / "core.py" in MODULES
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_are_stdlib(path):
+    outside = {
+        name for name in _absolute_imports(path)
+        if name.split(".")[0] not in sys.stdlib_module_names
+    }
+    assert not outside, f"{path.name} imports {sorted(outside)}"

@@ -42,6 +42,16 @@ class TestParse:
         with pytest.raises(GraphSyntaxError):
             parse("")
 
+    def test_vertex_count_above_cap_fails_on_header(self):
+        with pytest.raises(GraphSyntaxError) as exc:
+            parse("# too many vertices\nsigned-graph n=1000001\n0 1 +\n")
+        assert exc.value.line == 2
+
+    def test_vertex_count_at_cap_parses(self):
+        g = parse("signed-graph n=1000000\n0 999999 -\n")
+        assert (g.n, g.m) == (10**6, 1)
+        assert "adjacency" not in vars(g)  # parsing builds no adjacency
+
 
 class TestRoundTrip:
     def test_emit_parse_identity(self):

@@ -198,6 +198,17 @@ class TestIsthmi:
         assert frame_isthmi(g) == frozenset({0, 1})
         assert lift_isthmi(g) == frozenset({0, 1})
 
+    def test_positive_loop_on_negative_triangle_is_no_coloop(self):
+        # the positive loop is a matroid loop: a class by itself, in no basis
+        g = SignedGraph.from_triples(3, [(0, 1, 1), (1, 2, 1), (2, 0, -1), (0, 0, 1)])
+        assert frame_isthmi(g) == frozenset({0, 1, 2})
+        assert lift_isthmi(g) == frozenset({0, 1, 2})
+
+    def test_positive_loop_on_unbalanced_digon_is_no_coloop(self):
+        g = SignedGraph.from_triples(2, [(0, 1, 1), (0, 1, -1), (1, 1, 1)])
+        assert frame_isthmi(g) == frozenset({0, 1})
+        assert lift_isthmi(g) == frozenset({0, 1})
+
     def test_two_unbalanced_components_kill_lift_coloops(self):
         g = SignedGraph.from_triples(2, [(0, 0, -1), (1, 1, -1)])
         assert frame_isthmi(g) == frozenset({0, 1})
