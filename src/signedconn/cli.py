@@ -99,7 +99,7 @@ def build_report(g: SignedGraph) -> dict:
         report[f"{kind}_components"] = [sorted(cls) for cls in part.classes]
         if part.isolated_vertices:
             report[f"{kind}_isolated_vertices"] = sorted(part.isolated_vertices)
-    report["graph_isthmi"] = sorted(structure.block_decomposition(g).bridges())
+    report["graph_isthmi"] = sorted(structure.block_decomposition(g).bridges)
     report["frame_coloops"] = sorted(matroid.frame_isthmi(g))
     report["lift_coloops"] = sorted(matroid.lift_isthmi(g))
     if is_sign_connected(g) and g.n > 1:
@@ -123,7 +123,7 @@ def _cmd_components(args) -> int:
 def _cmd_isthmi(args) -> int:
     g = _load(args.file)
     if args.kind == "graph":
-        ids = structure.block_decomposition(g).bridges()
+        ids = structure.block_decomposition(g).bridges
     elif args.kind == "sign":
         ids = sign_isthmi(g)
     elif args.kind == "frame":

@@ -202,14 +202,18 @@ class _Spine:
                 acc[p] += acc[v]
         return acc
 
+    def tree_path(self, v: int, a: int) -> tuple[int, ...]:
+        """The tree edges from v up to its ancestor a, in order."""
+        out = []
+        while v != a:
+            out.append(self.parent_edge[v])
+            v = self.parent[v]
+        return tuple(out)
+
     def fundamental_cycle(self, eid: int, d: int, a: int) -> frozenset[int]:
         """The cycle that the non-tree edge eid (descendant end d, ancestor
         end a) closes: the edge plus the tree path from d up to a."""
-        cycle = {eid}
-        while d != a:
-            cycle.add(self.parent_edge[d])
-            d = self.parent[d]
-        return frozenset(cycle)
+        return frozenset((eid, *self.tree_path(d, a)))
 
     def cut_vertices(self) -> frozenset[int]:
         """Vertices whose deletion disconnects their component: a root with

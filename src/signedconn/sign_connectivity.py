@@ -93,7 +93,7 @@ def sign_isthmi(g: SignedGraph) -> frozenset[int]:
     _require_sign_connected(g)
     if g.n == 1:
         raise PreconditionError("sign isthmi are defined for graphs with n > 1")
-    return block_decomposition(g).bridges() | balancing_edges(g)
+    return block_decomposition(g).bridges | balancing_edges(g)
 
 
 def sign_articulation_vertices(g: SignedGraph) -> frozenset[int]:

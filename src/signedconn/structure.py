@@ -3,14 +3,13 @@ cactus recognition, theta detection, and hypercyclic-chain classification."""
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from . import _cycles
 from .balance import balancing_vertices
-from .core import SignedGraph, Walk, _kept, _vertex_set
+from .core import SignedGraph, Walk, _kept, _Spine
 from .errors import NotABlock
 
 
@@ -29,10 +28,6 @@ class Block:
     def is_cycle(self) -> bool:
         return len(self.edges) >= 1 and len(self.edges) == len(self.vertices)
 
-    @property
-    def is_bridge(self) -> bool:
-        return len(self.edges) == 1 and len(self.vertices) == 2
-
 
 @dataclass(frozen=True)
 class Core:
@@ -48,11 +43,7 @@ class BlockDecomposition:
     blocks: tuple[Block, ...]
     articulation_vertices: frozenset[int]
     cores: tuple[Core, ...]
-
-    def bridges(self) -> frozenset[int]:
-        return frozenset(
-            next(iter(b.edges)) for b in self.blocks if b.is_bridge
-        )
+    bridges: frozenset[int]  # the edges of the two-vertex blocks with one edge
 
 
 def block_decomposition(g: SignedGraph) -> BlockDecomposition:
@@ -159,7 +150,8 @@ def _block_decomposition(g: SignedGraph) -> BlockDecomposition:
             necklace = _necklace_constituents(g, inner[0], balancing_vertices(g))
         cores.append(Core(i, frozenset(core_edges), necklace))
 
-    return BlockDecomposition(blocks, articulation, tuple(cores))
+    bridges = frozenset(es[0] for es in edges if len(es) == 1)
+    return BlockDecomposition(blocks, articulation, tuple(cores), bridges)
 
 
 def _necklace_constituents(
@@ -278,7 +270,8 @@ def is_contrabalanced(g: SignedGraph) -> bool:
 
 @dataclass(frozen=True)
 class Theta:
-    """Three internally disjoint chains sharing both endpoints."""
+    """Three internally disjoint chains sharing both endpoints, each listed
+    in order from the first endpoint to the second."""
 
     endpoints: tuple[int, int]
     chains: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
@@ -294,82 +287,43 @@ def contains_theta(g: SignedGraph) -> Optional[Theta]:
 
 
 def _extract_theta(g: SignedGraph, block: Block) -> Theta:
-    """A theta on the fundamental cycle of the block's first non-tree edge
-    (the tree path from its descendant end up to its ancestor end, plus the
-    edge) and an ear of the block leaving that cycle."""
+    """A theta from two fundamental cycles of the block that share a tree edge.
+
+    Walking up the spine from each non-tree edge of the block, each tree edge
+    is claimed by the first edge to reach it; the first walk to reach a
+    claimed edge ends the search, so every earlier walk claimed its whole
+    tree path.  Two consecutive tree edges of a block lie on one fundamental
+    cycle (Tarjan 1972), so without a clash the block's tree would be one
+    vertical path under one non-tree edge: a block with more edges than
+    vertices always clashes.  The vertex `bottom` below the claimed edge and
+    the deeper ancestor end `top` bound the tree path the two fundamental
+    cycles share; the rest of each cycle is a chain from bottom to top, and
+    their parts below bottom are disjoint, as no tree edge there was claimed
+    twice."""
     sp = g.spine
-    cyc = sp.fundamental_cycle(*next(t for t in sp.nontree if t[0] in block.edges))
-    vc = _vertex_set(g, cyc)
-    extra = block.edges - cyc
-
-    ear: Optional[list[int]] = None
-    ends: Optional[tuple[int, int]] = None
-    for eid in sorted(extra):
-        e = g.edges[eid]
-        if e.u in vc and e.v in vc and e.u != e.v:
-            ear = [eid]
-            ends = (e.u, e.v)
-            break
-    if ear is None:
-        adj: dict[int, list] = {}
-        for eid in extra:
-            e = g.edges[eid]
-            adj.setdefault(e.u, []).append(e)
-            adj.setdefault(e.v, []).append(e)
-        for a in sorted(vc):
-            parent: dict[int, tuple[int, int]] = {a: (-1, -1)}
-            queue = deque([a])
-            hit = None
-            while queue and hit is None:
-                v = queue.popleft()
-                for e in adj.get(v, []):
-                    w = e.other(v)
-                    if w in parent:
-                        continue
-                    parent[w] = (v, e.id)
-                    if w in vc and w != a:
-                        hit = w
-                        break
-                    if w not in vc:
-                        queue.append(w)
-            if hit is not None:
-                path = []
-                v = hit
-                while parent[v] != (-1, -1):
-                    pv, eid = parent[v]
-                    path.append(eid)
-                    v = pv
-                path.reverse()
-                ear = path
-                ends = (a, hit)
-                break
-    assert ear is not None and ends is not None, "2-connected block with extra edges must carry an ear"
-
-    a, b = ends
-    arc1, arc2 = _cycle_arcs(g, cyc, a, b)
-    return Theta((a, b), (tuple(ear), tuple(arc1), tuple(arc2)))
+    claimed: dict[int, tuple[int, int, int]] = {}
+    for edge in sp.nontree:
+        eid, v, a = edge
+        if eid not in block.edges:
+            continue
+        while v != a:
+            t = sp.parent_edge[v]
+            if t in claimed:
+                first = claimed[t]
+                top = max(first[2], a, key=sp.depth.__getitem__)
+                chains = (sp.tree_path(v, top), _around(sp, first, v, top), _around(sp, edge, v, top))
+                return Theta((v, top), chains)
+            claimed[t] = edge
+            v = sp.parent[v]
+    raise AssertionError("a block with more edges than vertices must hold a theta")
 
 
-def _cycle_arcs(g: SignedGraph, cyc: set[int], a: int, b: int):
-    """Split an elementary cycle into its two arcs between vertices a and b."""
-    adj: dict[int, list] = {}
-    for eid in cyc:
-        e = g.edges[eid]
-        adj.setdefault(e.u, []).append(e)
-        adj.setdefault(e.v, []).append(e)
-    first, second = adj[a][0], adj[a][1]
-    arcs = []
-    for start_edge in (first, second):
-        arc = [start_edge.id]
-        prev_v = a
-        v = start_edge.other(a)
-        while v != b:
-            e1, e2 = adj[v]
-            nxt = e2 if arc[-1] == e1.id else e1
-            arc.append(nxt.id)
-            v = nxt.other(v)
-        arcs.append(arc)
-    return arcs[0], arcs[1]
+def _around(sp: _Spine, edge: tuple[int, int, int], bottom: int, top: int) -> tuple[int, ...]:
+    """The fundamental cycle of the non-tree edge (id, descendant end d,
+    ancestor end a) less its tree path from bottom up to top, in order: from
+    bottom down to d, across the edge, and from a down to top."""
+    eid, d, a = edge
+    return sp.tree_path(d, bottom)[::-1] + (eid,) + sp.tree_path(top, a)[::-1]
 
 
 class HypercyclicKind(str, Enum):
@@ -397,74 +351,55 @@ def classify_hypercyclic(g: SignedGraph, w: Walk) -> HypercyclicVerdict:
     Shape requirements: a single negative cycle, arms from both walk
     endpoints meeting the cycle at one common vertex, cycle edges traversed
     once, shared arm edges twice, other arm edges once.
+
+    The walk's edges form a connected graph on the vertices it visits, so
+    they hold exactly one cycle iff there are as many edges as vertices.  That
+    cycle is what is left once pendant edges are pruned one by one; each
+    pruned vertex keeps its edge toward the cycle, and the arms follow those
+    edges.  No cycle is enumerated: O(length of the walk).
     """
     seq = w.vertex_sequence(g)  # raises InvalidWalk on bad input
-    x, y = w.start, seq[-1]
     used = Counter(eid for eid, _ in w.steps)
-    support = set(used)
-
-    cycles = _cycles.elementary_cycles(g, support)
-    if len(cycles) != 1 or cycles[0][1] != -1:
+    if len(used) != len(set(seq)):
         return _NOT
-    cyc = cycles[0][0]
-    if any(used[eid] != 1 for eid in cyc):
+    incident: dict[int, set[int]] = {v: set() for v in seq}
+    for eid in used:
+        incident[g.edges[eid].u].add(eid)
+        incident[g.edges[eid].v].add(eid)
+    toward: dict[int, tuple[int, int]] = {}  # pruned vertex -> (edge, next vertex)
+    pendant = [v for v, es in incident.items() if len(es) == 1]
+    while pendant:
+        v = pendant.pop()
+        (eid,) = incident[v]
+        nxt = g.edges[eid].other(v)
+        if nxt == v:
+            continue  # a lone loop is the cycle
+        toward[v] = (eid, nxt)
+        incident[nxt].discard(eid)
+        if len(incident[nxt]) == 1:
+            pendant.append(nxt)
+    cyc = frozenset(used.keys() - {eid for eid, _ in toward.values()})
+    sign = 1
+    for eid in cyc:
+        sign *= g.edges[eid].sign
+    if sign != -1 or any(used[eid] != 1 for eid in cyc):
         return _NOT
-    vc = _vertex_set(g, cyc)
 
-    rest = support - cyc
-    if not rest:
-        if x != y or x not in vc:
-            return _NOT
-        return HypercyclicVerdict(HypercyclicKind.DISJOINT_ARMS, cyc)
-
-    # the remaining edges must form a tree touching the cycle at one vertex
-    rest_adj: dict[int, list] = {}
-    for eid in rest:
-        e = g.edges[eid]
-        if e.u == e.v:
-            return _NOT
-        rest_adj.setdefault(e.u, []).append(e)
-        rest_adj.setdefault(e.v, []).append(e)
-    attach = set(rest_adj) & vc
-    if len(attach) != 1:
-        return _NOT
-    t = attach.pop()
-    if len(rest_adj) != len(rest) + 1:
-        return _NOT  # not a tree
-
-    parent: dict[int, tuple[int, int]] = {t: (-1, -1)}
-    queue = deque([t])
-    while queue:
-        v = queue.popleft()
-        for e in rest_adj[v]:
-            wv = e.other(v)
-            if wv not in parent:
-                parent[wv] = (v, e.id)
-                if wv not in vc:
-                    queue.append(wv)
-                else:
-                    return _NOT  # touches the cycle twice
-    if len(parent) != len(rest_adj):
-        return _NOT  # disconnected remainder
-
-    def path_to_t(v: int) -> Optional[set[int]]:
-        if v == t:
-            return set()
-        if v not in parent:
-            return None
+    def arm(v: int) -> set[int]:
         out = set()
-        while v != t:
-            pv, eid = parent[v]
+        while v in toward:
+            eid, v = toward[v]
             out.add(eid)
-            v = pv
         return out
 
-    px = path_to_t(x)
-    py = path_to_t(y)
-    if px is None or py is None or px | py != rest:
-        return _NOT
+    px, py = arm(w.start), arm(seq[-1])
     shared = px & py
-    for eid in rest:
+    if len(px | py) != len(toward):
+        return _NOT
+    # with these multiplicities both arms reach the cycle at one vertex: a
+    # second one would meet an odd number of the walk's steps, as only the
+    # walk's two ends do
+    for eid in px | py:
         if used[eid] != (2 if eid in shared else 1):
             return _NOT
     kind = HypercyclicKind.SHARED_ARM if shared else HypercyclicKind.DISJOINT_ARMS

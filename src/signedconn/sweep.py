@@ -163,7 +163,7 @@ def _check_suite_3(g: SignedGraph, fail):
     if si != want:
         fail(f"sign isthmi {sorted(si)} != deletion oracle {sorted(want)}")
         return
-    expected = structure.block_decomposition(g).bridges() | balancing_edges(g)
+    expected = structure.block_decomposition(g).bridges | balancing_edges(g)
     if expected != want:
         fail(f"isthmi union balancing edges {sorted(expected)} != sign isthmi {sorted(want)}")
         return
@@ -261,7 +261,7 @@ def _check_suite_5(g: SignedGraph, fail):
     # iff both sides unbalanced -- provided neither side is a single vertex
     # (a lone vertex counts as sign connected yet makes the bridge a frame
     # isthmus, so it is excluded).
-    for eid in structure.block_decomposition(g).bridges() & si:
+    for eid in structure.block_decomposition(g).bridges & si:
         without = g.delete_edges([eid])
         comps, flags = component_balance(without)
         e = g.edges[eid]
@@ -306,6 +306,10 @@ def _check_suite_6(g: SignedGraph, fail):
         fail(f"cactus={cactus} but theta={'found' if theta else 'none'}")
         return
     if theta is not None:
+        defect = _theta_defect(g, theta)
+        if defect:
+            fail(f"theta {theta}: {defect}")
+            return
         pos = _theta_positive_count(g, theta)
         if pos % 2 == 0:
             fail(f"theta {theta} has an even number ({pos}) of positive cycles")
@@ -314,7 +318,7 @@ def _check_suite_6(g: SignedGraph, fail):
         return
     ncyc = len(cycles)
     connected = is_connected(g)
-    bridges = structure.block_decomposition(g).bridges()
+    bridges = structure.block_decomposition(g).bridges
     if connected and g.n >= 2:
         sign_connected = is_sign_connected(g)
         if sign_connected != (ncyc >= 1):
@@ -350,6 +354,32 @@ def _check_suite_6(g: SignedGraph, fail):
             return
         if ncyc < 2 and li != frozenset(range(g.m)):
             fail("fewer than two cycles but not every edge is a lift isthmus")
+
+
+def _theta_defect(g: SignedGraph, theta: structure.Theta) -> Optional[str]:
+    """Why the theta is not one by definition, or None: its two ends differ,
+    and its three chains are edge-disjoint paths between them whose inner
+    vertices are pairwise disjoint."""
+    a, b = theta.endpoints
+    if a == b:
+        return "both ends are one vertex"
+    inner: list[set[int]] = []
+    for path in theta.chains:
+        at, seen = a, [a]
+        for eid in path:
+            e = g.edges[eid]
+            if at not in (e.u, e.v):
+                return f"chain {path} breaks at edge {eid}"
+            at = e.other(at)
+            seen.append(at)
+        if at != b or len(set(seen)) != len(seen):
+            return f"chain {path} is no path from {a} to {b}"
+        inner.append(set(seen[1:-1]))
+    if len(set().union(*theta.chains)) != sum(len(c) for c in theta.chains):
+        return "two chains share an edge"
+    if inner[0] & inner[1] or inner[0] & inner[2] or inner[1] & inner[2]:
+        return "two chains share an inner vertex"
+    return None
 
 
 def _theta_positive_count(g: SignedGraph, theta: structure.Theta) -> int:

@@ -313,7 +313,7 @@ def test_deep_path_with_negative_triangle():
     assert frame_isthmi(g) == frozenset(range(g.m))
     assert lift_isthmi(g) == frozenset(range(g.m))
     dec = block_decomposition(g)
-    assert dec.bridges() == frozenset(range(n - 3))
+    assert dec.bridges == frozenset(range(n - 3))
     assert [b for b in dec.blocks if not b.balanced][0].edges == triangle_edges
 
 

@@ -64,7 +64,7 @@ def test_blocks_match_networkx(seed, n):
     multi = _nx_multigraph(g)
     dec = block_decomposition(g)
 
-    assert {_pair(g.edges[eid]) for eid in dec.bridges()} == {
+    assert {_pair(g.edges[eid]) for eid in dec.bridges} == {
         frozenset(p) for p in nx.bridges(multi)
     }
     assert dec.articulation_vertices == frozenset(nx.articulation_points(multi))

@@ -1,7 +1,7 @@
 """Blocks, cores, necklaces, cactus recognition, thetas, hypercyclic chains."""
 
 import random
-from collections import deque
+from collections import Counter, deque
 from itertools import chain
 
 import pytest
@@ -9,6 +9,7 @@ from hypothesis import given
 
 from signedconn import (
     HypercyclicKind,
+    HypercyclicVerdict,
     NotABlock,
     SignedGraph,
     Walk,
@@ -21,6 +22,7 @@ from signedconn import (
     oracle,
     walk_sign,
 )
+from signedconn import _cycles
 from signedconn.io import fixture
 
 from conftest import complete_with_two_negative_edges, graphs
@@ -279,10 +281,39 @@ def _assert_valid_theta(g, th):
             assert not inner_sets[i] & inner_sets[j]
 
 
-@pytest.mark.parametrize("n", [12, 40])
-def test_theta_in_large_complete_graph(n):
-    g = complete_with_two_negative_edges(n)
-    _assert_valid_theta(g, contains_theta(g))
+def _random_multigraphs(count, seed):
+    """Up to 30 vertices and 45 edges, with loops and parallel edges."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 30)
+        triples = []
+        for _ in range(rng.randint(0, 45)):
+            u = rng.randrange(n)
+            v = u if rng.random() < 0.1 else rng.randrange(n)
+            triples.append((u, v, rng.choice((1, -1))))
+        yield SignedGraph.from_triples(n, triples)
+
+
+@pytest.mark.parametrize(
+    "inputs",
+    [
+        lambda: [complete_with_two_negative_edges(12)],
+        lambda: [complete_with_two_negative_edges(40)],
+        lambda: _random_multigraphs(3000, 10),
+    ],
+    ids=["12", "40", "random-multigraphs"],
+)
+def test_theta_in_large_complete_graph(inputs):
+    """Every theta is one by definition, and there is one iff the graph is
+    no cactus forest."""
+    thetas = 0
+    for g in inputs():
+        th = contains_theta(g)
+        assert (th is None) == is_cactus_forest(g), g
+        if th is not None:
+            _assert_valid_theta(g, th)
+            thetas += 1
+    assert thetas >= 1
 
 
 class TestClassifyHypercyclic:
@@ -332,3 +363,121 @@ class TestClassifyHypercyclic:
         assert (
             classify_hypercyclic(g, w).kind is HypercyclicKind.NOT_HYPERCYCLIC
         )
+
+    @pytest.mark.parametrize("n", [12, 40])
+    def test_walk_over_a_complete_graph_enumerates_no_cycle(self, n, monkeypatch):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("cycles enumerated")
+
+        monkeypatch.setattr(_cycles, "iter_cycles", no_enumeration)
+        g = complete_with_two_negative_edges(n)
+        eid = {(e.u, e.v): e.id for e in g.edges}
+        steps = []
+        for u in range(n - 1):
+            for v in range(u + 1, n):
+                steps += [(eid[u, v], True), (eid[u, v], False)]
+            steps.append((eid[u, u + 1], True))
+        assert {eid for eid, _ in steps} == set(range(g.m))
+        verdict = classify_hypercyclic(g, Walk(0, tuple(steps)))
+        assert verdict.kind is HypercyclicKind.NOT_HYPERCYCLIC
+
+
+_NOT = HypercyclicVerdict(HypercyclicKind.NOT_HYPERCYCLIC)
+
+
+def _hypercyclic_by_enumeration(g, w):
+    """The definition-level rule: the walk's edges hold exactly one cycle
+    (taken from the oracle's subset sweep), it is negative and traversed
+    once, and the other edges form a tree touching it at one vertex t, the
+    union of the tree paths from both walk ends to t, with the shared edges
+    traversed twice and the others once."""
+    seq = w.vertex_sequence(g)
+    x, y = w.start, seq[-1]
+    used = Counter(eid for eid, _ in w.steps)
+    cycles = oracle.brute_cycles(g, used)
+    if len(cycles) != 1 or cycles[0][1] != -1:
+        return _NOT
+    cyc = cycles[0][0]
+    if any(used[eid] != 1 for eid in cyc):
+        return _NOT
+    on_cycle = {g.edges[eid].u for eid in cyc} | {g.edges[eid].v for eid in cyc}
+    rest = set(used) - cyc
+    if not rest:
+        if x != y or x not in on_cycle:
+            return _NOT
+        return HypercyclicVerdict(HypercyclicKind.DISJOINT_ARMS, cyc)
+    adj = {}
+    for eid in rest:
+        e = g.edges[eid]
+        if e.u == e.v:
+            return _NOT
+        adj.setdefault(e.u, []).append(e)
+        adj.setdefault(e.v, []).append(e)
+    attach = set(adj) & on_cycle
+    if len(attach) != 1 or len(adj) != len(rest) + 1:
+        return _NOT
+    t = attach.pop()
+    parent = {t: (-1, -1)}
+    queue = deque([t])
+    while queue:
+        v = queue.popleft()
+        for e in adj[v]:
+            u = e.other(v)
+            if u in parent:
+                continue
+            if u in on_cycle:
+                return _NOT
+            parent[u] = (v, e.id)
+            queue.append(u)
+    if len(parent) != len(adj) or x not in parent or y not in parent:
+        return _NOT
+
+    def path_to_t(v):
+        out = set()
+        while v != t:
+            v, eid = parent[v]
+            out.add(eid)
+        return out
+
+    px, py = path_to_t(x), path_to_t(y)
+    shared = px & py
+    if px | py != rest or any(used[eid] != (2 if eid in shared else 1) for eid in rest):
+        return _NOT
+    kind = HypercyclicKind.SHARED_ARM if shared else HypercyclicKind.DISJOINT_ARMS
+    return HypercyclicVerdict(kind, cyc, frozenset(px - shared), frozenset(py - shared), frozenset(shared))
+
+
+def test_hypercyclic_matches_cycle_enumeration():
+    """Seeded random walks of 0-9 steps on random graphs with n <= 7 and
+    m <= 10, loops and parallel edges included.  With probability 0.3 a step
+    goes back over the edge that first led to the current vertex, so walks
+    that return along their arm occur."""
+    rng = random.Random(17)
+    kinds = Counter()
+    for _ in range(2000):
+        n = rng.randint(1, 7)
+        triples = []
+        for _ in range(rng.randint(1, 10)):
+            u = rng.randrange(n)
+            v = u if rng.random() < 0.1 else rng.randrange(n)
+            triples.append((u, v, rng.choice((1, -1))))
+        g = SignedGraph.from_triples(n, triples)
+        for _ in range(10):
+            start = at = rng.randrange(n)
+            came = {start: None}
+            steps = []
+            for _ in range(rng.randint(0, 9)):
+                if came[at] is not None and rng.random() < 0.3:
+                    e = came[at]
+                elif g.adjacency[at]:
+                    e = rng.choice(g.adjacency[at])
+                else:
+                    break
+                steps.append((e.id, e.u == at))
+                at = e.other(at)
+                came.setdefault(at, e)
+            w = Walk(start, tuple(steps))
+            verdict = classify_hypercyclic(g, w)
+            assert verdict == _hypercyclic_by_enumeration(g, w), (g, w)
+            kinds[verdict.kind] += 1
+    assert all(kinds[kind] >= 10 for kind in HypercyclicKind), kinds

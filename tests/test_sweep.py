@@ -1,15 +1,16 @@
 """The sweep's block-parallel `run_sweep` gives what one process checking
 every graph in order gives: the same counts, the same first counterexamples,
 the same progress reports.  Suite 4's local submodularity check agrees with
-the all-pairs definition."""
+the all-pairs definition, and suite 6 checks each theta by definition."""
 
 import multiprocessing
 import random
 
 import pytest
 
-from signedconn import oracle, sweep
+from signedconn import SignedGraph, Theta, oracle, structure, sweep
 from signedconn.errors import PreconditionError
+from signedconn.io import fixture
 
 FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -148,3 +149,25 @@ def test_local_submodularity_agrees_with_all_pairs():
             assert local == _submodular_by_all_pairs(tab, m), (m, tab)
             verdicts.append(local)
     assert verdicts.count(True) >= 1000 and verdicts.count(False) >= 1000
+
+
+# THETA: edge 0 joins 0-1, edges 1, 2 run 0-2-1 and edges 3, 4 run 0-3-1
+_BROKEN_THETAS = [
+    Theta((0, 0), ((0,), (1, 2), (3, 4))),  # one end
+    Theta((0, 1), ((0,), (1,), (3, 4))),  # a chain stops at 2
+    Theta((0, 1), ((0,), (1, 2), (2, 1))),  # a chain breaks at its start
+    Theta((0, 1), ((0,), (1, 2), (0,))),  # two chains share an edge
+]
+
+
+def test_suite_6_checks_each_theta_by_definition(monkeypatch):
+    g = fixture("THETA")
+    assert sweep._theta_defect(g, Theta((0, 1), ((0,), (1, 2), (3, 4)))) is None
+    for theta in _BROKEN_THETAS:
+        assert sweep._theta_defect(g, theta), theta
+    # edges 3, 4 run 0-2-1 beside edges 1, 2: two chains share vertex 2
+    twin = SignedGraph.from_triples(3, [(0, 1, 1), (0, 2, 1), (2, 1, 1), (0, 2, 1), (2, 1, -1)])
+    assert "inner vertex" in sweep._theta_defect(twin, Theta((0, 1), ((0,), (1, 2), (3, 4))))
+
+    monkeypatch.setattr(structure, "contains_theta", lambda g: _BROKEN_THETAS[1])
+    assert [v.suite for v in sweep.check_graph(g) if "theta" in v.message] == [6]
