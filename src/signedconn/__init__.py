@@ -10,11 +10,9 @@ every small signed graph.
 """
 
 from .balance import (
-    BalancingEdgeReport,
     HararyBipartition,
     balancing_edges,
     balancing_vertices,
-    check_balancing_edge_equivalences,
     component_balance,
     harary_bipartition,
     is_balanced,

@@ -1,4 +1,4 @@
-"""Elementary cycle enumeration used by the analysis modules.
+"""Elementary cycle enumeration, for `matroid.is_quasibalanced` alone.
 
 The brute-force oracle module has its own, deliberately different,
 enumeration; keep the two independent.
@@ -69,14 +69,3 @@ def iter_cycles(
                 elif w > root and w not in used_v:
                     stack.append((w, used_v | {w}, used_e + (e.id,), sign * e.sign))
 
-
-def elementary_cycles(
-    g: SignedGraph,
-    edge_ids: Optional[Iterable[int]] = None,
-    max_cycles: Optional[int] = None,
-) -> list[tuple[frozenset[int], Sign]]:
-    """All elementary cycles of `iter_cycles`, in deterministic order: by
-    (length, sorted edge ids)."""
-    return sorted(
-        iter_cycles(g, edge_ids, max_cycles), key=lambda kv: (len(kv[0]), sorted(kv[0]))
-    )

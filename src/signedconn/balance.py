@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
-from . import _cycles
-from .core import SignedGraph, _kept, connected_components, is_connected
-from .errors import PreconditionError
+from .core import SignedGraph, _kept, connected_components
 
 
 def component_balance(g: SignedGraph) -> tuple[list[frozenset[int]], list[bool]]:
@@ -144,48 +142,3 @@ def _balancing_vertices(g: SignedGraph) -> frozenset[int]:
         x for x in range(n) if k[sp.comp[x]] and on_path[x] == k[sp.comp[x]] and x not in mixed
     )
 
-
-class BalancingEdgeReport(NamedTuple):
-    """The five equivalent characterizations of a balancing edge, evaluated
-    independently of each other."""
-
-    deletion_balances: bool
-    in_every_negative_cycle: bool
-    in_every_negative_no_positive: bool
-    chain_sign_differs: bool
-    switches_to_lone_negative: bool
-
-
-def check_balancing_edge_equivalences(g: SignedGraph, eid: int) -> BalancingEdgeReport:
-    """Evaluate the five balancing-edge conditions on a connected unbalanced
-    graph; callers assert they all agree."""
-    if not is_connected(g) or is_balanced(g):
-        raise PreconditionError("requires a connected, unbalanced graph")
-    e = g.edge(eid)
-
-    without = g.delete_edges([eid])
-    rest = without.spine
-    cond1 = not rest.frustrated
-
-    cycles = _cycles.elementary_cycles(g)
-    neg = [c for c, s in cycles if s == -1]
-    pos = [c for c, s in cycles if s == +1]
-    cond2 = all(eid in c for c in neg)
-    cond3 = cond2 and not any(eid in c for c in pos)
-
-    # isthmus test: deleting e must not disconnect
-    pot = rest.pot  # a switching potential wherever `without` is balanced
-    cond4 = False
-    if is_connected(without) and cond1:
-        chain_sign = pot[e.u] * pot[e.v]  # all chains agree in a balanced graph
-        cond4 = e.sign != chain_sign
-
-    cond5 = False
-    if cond1:
-        if rest.comp[e.u] == rest.comp[e.v]:
-            # sign of e after switching everything else positive
-            cond5 = e.sign * pot[e.u] * pot[e.v] == -1
-        else:
-            # endpoints in different components: flip one side freely
-            cond5 = True
-    return BalancingEdgeReport(cond1, cond2, cond3, cond4, cond5)

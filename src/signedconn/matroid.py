@@ -9,7 +9,7 @@ from typing import Iterable, Optional
 
 from . import _cycles, structure
 from .core import SignedGraph, _kept, _vertex_set
-from .errors import CycleBudgetExceeded, EdgeOutOfRange
+from .errors import EdgeOutOfRange
 from .sign_connectivity import ComponentPartition, _sorted_classes
 
 DEFAULT_CYCLE_BUDGET = 100_000
@@ -58,50 +58,60 @@ def classify_circuit(g: SignedGraph, edge_ids: Iterable[int]) -> CircuitClassifi
     them only at its ends.  Lift circuits replace the third shape by a bare
     vertex-disjoint pair of negative cycles.
 
-    Every such circuit has no vertex of degree 1 (a loop counts 2), |V(F)|
-    or |V(F)| + 1 edges, and exactly one or two elementary cycles, so other
-    sets are rejected before any cycle is enumerated, and the enumeration
-    stops at a third cycle.
+    Each has no vertex of degree 1 (a loop counts 2) and |V(F)| or |V(F)| + 1
+    edges, so in a set that passes every vertex has degree 2 but one of
+    degree 4 or two of degree 3.  The runs through degree-2 vertices, from
+    those branch vertices and then round what is left, are its cycles and
+    chains, read in O(|F|): F is a circuit iff they are one positive cycle,
+    or two negative cycles and at most one chain (three make a theta).
     """
     F = frozenset(edge_ids)
-    degree: dict[int, int] = {}
+    ends: dict[int, list[int]] = {}
     for eid in F:
         if not 0 <= eid < g.m:
             raise EdgeOutOfRange(f"edge id {eid} out of range")
         e = g.edges[eid]
-        degree[e.u] = degree.get(e.u, 0) + 1
-        degree[e.v] = degree.get(e.v, 0) + 1
-    if 1 in degree.values() or not 0 <= len(F) - len(degree) <= 1:
+        ends.setdefault(e.u, []).append(eid)
+        ends.setdefault(e.v, []).append(eid)
+    if not 0 <= len(F) - len(ends) <= 1 or any(len(es) == 1 for es in ends.values()):
         return _NOT_A_CIRCUIT
-    try:
-        cycles = _cycles.elementary_cycles(g, F, max_cycles=2)
-    except CycleBudgetExceeded:
+    used: set[int] = set()
+    closed: list[tuple[frozenset[int], int]] = []
+    chains: list[frozenset[int]] = []
+    branches = [v for v, es in ends.items() if len(es) > 2]
+    for v in branches + list(ends):
+        for eid in ends[v]:
+            if eid not in used:
+                end, run, sign = _run(g, ends, v, eid)
+                used |= run
+                if end == v:
+                    closed.append((run, sign))
+                else:
+                    chains.append(run)
+    if closed == [(F, 1)]:
+        return CircuitClassification(CircuitVerdict.POSITIVE_CYCLE, (F,))
+    if len(closed) != 2 or len(chains) > 1 or any(sign == 1 for _, sign in closed):
         return _NOT_A_CIRCUIT
+    cycles = tuple(sorted((c for c, _ in closed), key=lambda c: (len(c), sorted(c))))
+    if chains:
+        return CircuitClassification(CircuitVerdict.LOOSE_HANDCUFF, cycles, chains[0])
+    verdict = CircuitVerdict.TIGHT_HANDCUFF if branches else CircuitVerdict.DISJOINT_PAIR
+    return CircuitClassification(verdict, cycles)
 
-    if len(cycles) == 1:
-        cyc, sign = cycles[0]
-        if sign == +1 and cyc == F:
-            return CircuitClassification(CircuitVerdict.POSITIVE_CYCLE, (cyc,))
-        return _NOT_A_CIRCUIT
 
-    if len(cycles) != 2:
-        return _NOT_A_CIRCUIT
-    (c1, s1), (c2, s2) = cycles
-    if s1 != -1 or s2 != -1 or c1 & c2:
-        return _NOT_A_CIRCUIT
-    v1, v2 = _vertex_set(g, c1), _vertex_set(g, c2)
-    shared = v1 & v2
-    if len(shared) == 1 and c1 | c2 == F:
-        return CircuitClassification(CircuitVerdict.TIGHT_HANDCUFF, (c1, c2))
-    if shared:
-        return _NOT_A_CIRCUIT
-    if c1 | c2 == F:
-        return CircuitClassification(CircuitVerdict.DISJOINT_PAIR, (c1, c2))
-    # F holds no third cycle, so its edges off c1 and c2 form a forest.  With
-    # no vertex of degree 1 every tree of it joins c1 to c2 (F is then
-    # connected, |V(F)| = |F| - 1), and a second such path would close a
-    # third cycle
-    return CircuitClassification(CircuitVerdict.LOOSE_HANDCUFF, (c1, c2), F - (c1 | c2))
+def _run(g: SignedGraph, ends: dict, start: int, eid: int) -> tuple[int, frozenset[int], int]:
+    """(last vertex, edges, sign) of the run that leaves `start` by edge eid
+    and goes on through degree-2 vertices until back at `start` or a branch."""
+    run, sign, v = [], 1, start
+    while True:
+        run.append(eid)
+        e = g.edges[eid]
+        sign *= e.sign
+        v = e.other(v)
+        if v == start or len(ends[v]) != 2:
+            return v, frozenset(run), sign
+        a, b = ends[v]
+        eid = b if a == eid else a
 
 
 def _parity_forest(g: SignedGraph, edge_ids: Iterable[int]) -> tuple[int, int]:

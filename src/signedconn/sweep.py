@@ -15,12 +15,7 @@ from itertools import chain, islice
 from typing import Callable, Iterable, Optional
 
 from . import matroid, oracle, structure
-from .balance import (
-    balancing_edges,
-    check_balancing_edge_equivalences,
-    component_balance,
-    is_balanced,
-)
+from .balance import balancing_edges, component_balance, is_balanced
 from .core import SignedGraph, connected_components, is_connected
 from .sign_connectivity import (
     is_parity_connected,
@@ -149,10 +144,46 @@ def _check_suite_2(g: SignedGraph, fail):
     if not is_connected(g):
         return
     for eid in range(g.m):
-        rep = check_balancing_edge_equivalences(g, eid)
+        rep = _balancing_edge_conditions(g, eid)
         if len(set(rep)) != 1:
-            fail(f"edge {eid}: conditions disagree {tuple(rep)}")
+            fail(f"edge {eid}: conditions disagree {rep}")
             return
+
+
+def _balancing_edge_conditions(g: SignedGraph, eid: int) -> tuple[bool, ...]:
+    """The five equivalent characterizations of a balancing edge on a
+    connected unbalanced graph, evaluated independently of each other:
+    deleting the edge balances the graph; it lies on every negative cycle;
+    on every negative cycle and on no positive one; it is no isthmus and its
+    sign differs from that of the chains between its ends once it is
+    deleted; switching can make it the lone negative edge.  The cycles are
+    the oracle's."""
+    e = g.edge(eid)
+
+    without = g.delete_edges([eid])
+    rest = without.spine
+    cond1 = not rest.frustrated
+
+    cycles = oracle.brute_cycles(g)
+    cond2 = all(eid in c for c, s in cycles if s == -1)
+    cond3 = cond2 and not any(eid in c for c, s in cycles if s == +1)
+
+    # isthmus test: deleting e must not disconnect
+    pot = rest.pot  # a switching potential wherever `without` is balanced
+    cond4 = False
+    if is_connected(without) and cond1:
+        chain_sign = pot[e.u] * pot[e.v]  # all chains agree in a balanced graph
+        cond4 = e.sign != chain_sign
+
+    cond5 = False
+    if cond1:
+        if rest.comp[e.u] == rest.comp[e.v]:
+            # sign of e after switching everything else positive
+            cond5 = e.sign * pot[e.u] * pot[e.v] == -1
+        else:
+            # endpoints in different components: flip one side freely
+            cond5 = True
+    return cond1, cond2, cond3, cond4, cond5
 
 
 def _check_suite_3(g: SignedGraph, fail):

@@ -1,14 +1,11 @@
 """Balance, Harary bipartitions, balancing edges and vertices."""
 
-import pytest
 from hypothesis import given
 
 from signedconn import (
-    PreconditionError,
     SignedGraph,
     balancing_edges,
     balancing_vertices,
-    check_balancing_edge_equivalences,
     harary_bipartition,
     is_balanced,
     switch,
@@ -86,35 +83,3 @@ class TestBalancingVertices:
     def test_shared_handcuff_vertex(self):
         assert balancing_vertices(fixture("TIGHT")) == frozenset({0})
 
-
-class TestBalancingEdgeEquivalences:
-    def test_negative_triangle_edge_satisfies_all(self):
-        rep = check_balancing_edge_equivalences(fixture("T-"), 2)
-        assert tuple(rep) == (True,) * 5
-
-    def test_tight_pair_satisfies_none(self):
-        for eid in range(6):
-            rep = check_balancing_edge_equivalences(fixture("TIGHT"), eid)
-            assert tuple(rep) == (False,) * 5
-
-    def test_negative_loop_balances_on_deletion(self):
-        rep = check_balancing_edge_equivalences(fixture("NEGLOOP"), 0)
-        assert rep.deletion_balances
-        assert tuple(rep) == (True,) * 5
-
-    def test_requires_connected_unbalanced(self):
-        with pytest.raises(PreconditionError):
-            check_balancing_edge_equivalences(fixture("T+"), 0)
-        disconnected = SignedGraph.from_triples(3, [(0, 0, -1), (1, 2, 1)])
-        with pytest.raises(PreconditionError):
-            check_balancing_edge_equivalences(disconnected, 0)
-
-    @given(graphs(4, 5))
-    def test_conditions_always_agree(self, g):
-        from signedconn import is_connected
-
-        if not is_connected(g) or is_balanced(g):
-            return
-        for eid in range(g.m):
-            rep = check_balancing_edge_equivalences(g, eid)
-            assert len(set(rep)) == 1

@@ -17,6 +17,7 @@ from signedconn import (
     balancing_edges,
     balancing_vertices,
     block_decomposition,
+    classify_circuit,
     contains_theta,
     detect_necklace,
     frame_components,
@@ -140,6 +141,29 @@ def test_ranks_match_oracle(seed):
         subset = [eid for eid in range(g.m) if rng.random() < 0.7]
         assert frame_rank(g, subset) == oracle.brute_rank(g, subset, oracle.frame_independent), g
         assert lift_rank(g, subset) == oracle.brute_rank(g, subset, oracle.lift_independent), g
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_circuits_match_oracle_cycles(seed):
+    rng = random.Random(seed)
+    verdicts = set()
+    for _ in range(30):
+        n = rng.randint(1, 7)
+        g = _random_graph(rng, n, rng.randint(0, 10))
+        frame = set(oracle.enumerate_frame_circuits(g))
+        lift = set(oracle.enumerate_lift_circuits(g))
+        for mask in range(1 << g.m):
+            F = frozenset(e for e in range(g.m) if mask >> e & 1)
+            cls = classify_circuit(g, F)
+            assert (cls.in_frame, cls.in_lift) == (F in frame, F in lift), (g, F)
+            verdicts.add(cls.verdict.value)
+            if cls.in_frame or cls.in_lift:
+                want = sorted(
+                    (c for c, _ in oracle.brute_cycles(g, F)), key=lambda c: (len(c), sorted(c))
+                )
+                assert cls.cycles == tuple(want), (g, F)
+                assert cls.chain == F - frozenset().union(*want), (g, F)
+    assert verdicts >= {"positive-cycle", "tight-handcuff", "loose-handcuff", "disjoint-pair"}
 
 
 # -- structured families ----------------------------------------------------

@@ -32,15 +32,19 @@ def test_imports_are_stdlib(path):
     assert not outside, f"{path.name} imports {sorted(outside)}"
 
 
-def test_structure_enumerates_no_cycle():
-    """Thetas and hypercyclic chains are read off the spine and the walk's
-    own edges; cycle enumeration is left to `matroid` and `balance`."""
-    path = PACKAGE / "structure.py"
-    names = set()
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.ImportFrom):
-            names.add(node.module or "")
-            names.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Import):
-            names.update(alias.name for alias in node.names)
-    assert not {name for name in names if name.split(".")[-1] == "_cycles"}, names
+def test_only_matroid_imports_cycles():
+    """Cycle enumeration serves `matroid.is_quasibalanced` alone: every other
+    module reads the spine, or decides by shape, or keeps the oracle's own
+    enumeration."""
+    importers = set()
+    for path in MODULES:
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names.add(node.module or "")
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+        if any(name.split(".")[-1] == "_cycles" for name in names):
+            importers.add(path.name)
+    assert importers == {"matroid.py"}

@@ -99,13 +99,12 @@ class TestClassifyCircuit:
             assert cls.in_frame == (subset in frame) and cls.in_lift == (subset in lift)
 
     def test_pendant_vertex_or_surplus_edge_is_rejected_before_enumeration(self, monkeypatch):
-        def no_enumeration(*args, **kwargs):
-            raise AssertionError("cycles enumerated")
-
-        monkeypatch.setattr(_cycles, "elementary_cycles", no_enumeration)
+        monkeypatch.setattr(_cycles, "iter_cycles", _no_enumeration)
         # |F| = |V(F)| with a vertex of degree 1, and |F| = |V(F)| + 2
         for g in (self.PENDANT, self.CHORDED):
             assert classify_circuit(g, range(g.m)).verdict is CircuitVerdict.NOT_A_CIRCUIT
+        for name in ("THETA", "PENDANT", "CHORDED"):
+            self.test_every_subset_agrees_with_the_oracle(name)
 
     def test_all_edges_of_k10_is_no_circuit(self):
         # 45 edges on 10 vertices; enumerating the cycles of K10 would take seconds
@@ -115,12 +114,53 @@ class TestClassifyCircuit:
         assert classify_circuit(g, range(g.m)).verdict is CircuitVerdict.NOT_A_CIRCUIT
 
     def test_third_cycle_ends_the_search(self):
-        # K4 (6 edges, 7 cycles) among 10 vertices: small enough for the size
-        # bound, stopped by the cycle budget
+        # K4 (6 edges, 7 cycles) among 10 vertices: within the bound of n + 1
+        # edges, but with two more edges than vertices
         g = SignedGraph.from_triples(
             10, [(0, 1, -1), (0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, 1), (2, 3, -1)]
         )
         assert classify_circuit(g, range(6)).verdict is CircuitVerdict.NOT_A_CIRCUIT
+
+    @pytest.mark.parametrize(
+        "shape",
+        ["loose-handcuff", "tight-handcuff", "theta", "disjoint-pair"],
+    )
+    def test_thousand_edge_cycles_are_classified_by_shape(self, shape, monkeypatch):
+        # negative 1,000-cycles at two vertices, joined by a 1,000-edge chain,
+        # sharing a vertex, or apart; or three 1,000-edge paths between two
+        # vertices
+        monkeypatch.setattr(_cycles, "iter_cycles", _no_enumeration)
+        triples: list[tuple[int, int, int]] = []
+        fresh = iter(range(2, 10_000))
+
+        def path(a, b, sign):
+            ids = range(len(triples), len(triples) + 1000)
+            at = a
+            for i in range(999):
+                nxt = next(fresh)
+                triples.append((at, nxt, sign if i == 0 else 1))
+                at = nxt
+            triples.append((at, b, 1))
+            return frozenset(ids)
+
+        if shape == "theta":
+            parts = [path(0, 1, -1), path(0, 1, 1), path(0, 1, 1)]
+        elif shape == "tight-handcuff":
+            parts = [path(0, 0, -1), path(0, 0, -1)]
+        elif shape == "disjoint-pair":
+            parts = [path(0, 0, -1), path(1, 1, -1)]
+        else:
+            parts = [path(0, 0, -1), path(1, 1, -1), path(0, 1, 1)]
+        g = SignedGraph.from_triples(next(fresh), triples)
+        cls = classify_circuit(g, range(g.m))
+        assert cls.verdict.value == ("not-a-circuit" if shape == "theta" else shape)
+        if shape != "theta":
+            assert cls.cycles == tuple(parts[:2])
+            assert cls.chain == frozenset().union(*parts[2:])
+
+
+def _no_enumeration(*args, **kwargs):
+    raise AssertionError("cycles enumerated")
 
 
 class TestRanks:

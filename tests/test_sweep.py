@@ -1,16 +1,20 @@
 """The sweep's block-parallel `run_sweep` gives what one process checking
 every graph in order gives: the same counts, the same first counterexamples,
 the same progress reports.  Suite 4's local submodularity check agrees with
-the all-pairs definition, and suite 6 checks each theta by definition."""
+the all-pairs definition, suite 6 checks each theta by definition, and
+suite 2's five characterizations of a balancing edge agree."""
 
 import multiprocessing
 import random
 
 import pytest
+from hypothesis import given
 
-from signedconn import SignedGraph, Theta, oracle, structure, sweep
+from signedconn import SignedGraph, Theta, is_balanced, is_connected, oracle, structure, sweep
 from signedconn.errors import PreconditionError
 from signedconn.io import fixture
+
+from conftest import graphs
 
 FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -171,3 +175,27 @@ def test_suite_6_checks_each_theta_by_definition(monkeypatch):
 
     monkeypatch.setattr(structure, "contains_theta", lambda g: _BROKEN_THETAS[1])
     assert [v.suite for v in sweep.check_graph(g) if "theta" in v.message] == [6]
+
+
+class TestBalancingEdgeEquivalences:
+    def test_negative_triangle_edge_satisfies_all(self):
+        rep = sweep._balancing_edge_conditions(fixture("T-"), 2)
+        assert rep == (True,) * 5
+
+    def test_tight_pair_satisfies_none(self):
+        for eid in range(6):
+            rep = sweep._balancing_edge_conditions(fixture("TIGHT"), eid)
+            assert rep == (False,) * 5
+
+    def test_negative_loop_balances_on_deletion(self):
+        rep = sweep._balancing_edge_conditions(fixture("NEGLOOP"), 0)
+        assert rep[0]
+        assert rep == (True,) * 5
+
+    @given(graphs(4, 5))
+    def test_conditions_always_agree(self, g):
+        if not is_connected(g) or is_balanced(g):
+            return
+        for eid in range(g.m):
+            rep = sweep._balancing_edge_conditions(g, eid)
+            assert len(set(rep)) == 1
