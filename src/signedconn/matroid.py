@@ -66,15 +66,21 @@ def classify_circuit(g: SignedGraph, edge_ids: Iterable[int]) -> CircuitClassifi
     or two negative cycles and at most one chain (three make a theta).
     """
     F = frozenset(edge_ids)
-    ends: dict[int, list[int]] = {}
+    edges, m = g.edges, g.m
+    degree: dict[int, int] = {}
     for eid in F:
-        if not 0 <= eid < g.m:
+        if not 0 <= eid < m:
             raise EdgeOutOfRange(f"edge id {eid} out of range")
-        e = g.edges[eid]
-        ends.setdefault(e.u, []).append(eid)
-        ends.setdefault(e.v, []).append(eid)
-    if not 0 <= len(F) - len(ends) <= 1 or any(len(es) == 1 for es in ends.values()):
+        e = edges[eid]
+        degree[e.u] = degree.get(e.u, 0) + 1
+        degree[e.v] = degree.get(e.v, 0) + 1
+    if not 0 <= len(F) - len(degree) <= 1 or 1 in degree.values():
         return _NOT_A_CIRCUIT
+    ends: dict[int, list[int]] = {v: [] for v in degree}
+    for eid in F:
+        e = edges[eid]
+        ends[e.u].append(eid)
+        ends[e.v].append(eid)
     used: set[int] = set()
     closed: list[tuple[frozenset[int], int]] = []
     chains: list[frozenset[int]] = []
@@ -116,43 +122,45 @@ def _run(g: SignedGraph, ends: dict, start: int, eid: int) -> tuple[int, frozens
 
 def _parity_forest(g: SignedGraph, edge_ids: Iterable[int]) -> tuple[int, int]:
     """(forest edges, unbalanced components) of the spanning subgraph on the
-    given edges, by union-find with parity and path halving.
+    given edges, by union-find with parity, in one loop over the edges.
 
     `parity[v]` is the sign (0 for +, 1 for -) of the path from v to its
     union-find parent; an edge closing a cycle whose parity disagrees with its
-    own sign makes that component unbalanced.
+    own sign makes that component unbalanced.  Each find halves its path
+    (Tarjan and van Leeuwen, 1984): every vertex on it is hooked to its
+    grandparent, so a long chain, such as a star listed leaf by leaf from
+    its centre, is not walked again in full.  The unbalanced roots are counted as they form.
     """
-    m = g.m
+    edges, m = g.edges, g.m
     parent = list(range(g.n))
     parity = [0] * g.n
     unbalanced = [False] * g.n
-
-    def find(v: int) -> tuple[int, int]:
-        p = 0
-        while parent[v] != v:
-            up = parent[v]
-            parity[v] ^= parity[up]
-            parent[v] = parent[up]
-            p ^= parity[v]
-            v = parent[v]
-        return v, p
-
-    forest = 0
+    forest = bad = 0
     for eid in edge_ids:
         if not 0 <= eid < m:
             raise EdgeOutOfRange(f"edge id {eid} out of range")
-        e = g.edges[eid]
-        ru, pu = find(e.u)
-        rv, pv = find(e.v)
-        odd = pu ^ pv ^ (e.sign == -1)
-        if ru != rv:
-            parent[ru] = rv
-            parity[ru] = odd
-            unbalanced[rv] = unbalanced[rv] or unbalanced[ru]
+        e = edges[eid]
+        u, v, odd = e.u, e.v, e.sign == -1
+        while parent[u] != u:
+            up = parent[u]
+            parity[u] ^= parity[up]
+            odd ^= parity[u]
+            parent[u] = u = parent[up]
+        while parent[v] != v:
+            up = parent[v]
+            parity[v] ^= parity[up]
+            odd ^= parity[v]
+            parent[v] = v = parent[up]
+        if u != v:
+            parent[u] = v
+            parity[u] = odd
             forest += 1
-        elif odd:
-            unbalanced[ru] = True
-    return forest, sum(unbalanced[v] for v in range(g.n) if parent[v] == v)
+            bad -= unbalanced[u] and unbalanced[v]
+            unbalanced[v] |= unbalanced[u]
+        elif odd and not unbalanced[u]:
+            unbalanced[u] = True
+            bad += 1
+    return forest, bad
 
 
 def frame_rank(g: SignedGraph, edge_ids: Iterable[int]) -> int:

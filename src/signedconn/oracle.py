@@ -456,14 +456,21 @@ def brute_is_bipartite(g: SignedGraph) -> bool:
 
 def brute_balancing_edges(g: SignedGraph) -> frozenset[int]:
     """Edges of unbalanced components whose removal leaves every remaining
-    cycle of that component positive."""
+    cycle of that component positive.
+
+    The cycles of a subgraph are the cycles of g that lie inside its edges,
+    so each piece reads the kept `brute_cycles(g)` list: its own cycles, and
+    those that avoid the deleted edge.
+    """
+    cycles = brute_cycles(g)
     out = set()
     for piece in _edge_pieces(g, range(g.m)):
-        if all(s == +1 for _, s in brute_cycles(g, piece)):
+        edges = set(piece)
+        inside = [(c, s) for c, s in cycles if c <= edges]
+        if all(s == +1 for _, s in inside):
             continue
         for eid in piece:
-            rest = [i for i in piece if i != eid]
-            if all(s == +1 for _, s in brute_cycles(g, rest)):
+            if all(s == +1 for c, s in inside if eid not in c):
                 out.add(eid)
     return frozenset(out)
 

@@ -48,3 +48,31 @@ def test_only_matroid_imports_cycles():
         if any(name.split(".")[-1] == "_cycles" for name in names):
             importers.add(path.name)
     assert importers == {"matroid.py"}
+
+
+def _package_imports(path):
+    """The package modules that a module imports, relatively or by the
+    package's name."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top, _, rest = alias.name.partition(".")
+                if top == "signedconn":
+                    yield rest or top
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                module = node.module
+            elif (node.module or "").partition(".")[0] == "signedconn":
+                module = node.module.partition(".")[2]
+            else:
+                continue
+            if module:
+                yield module
+            else:
+                yield from (alias.name for alias in node.names)
+
+
+def test_oracle_imports_only_core_and_errors():
+    """The oracle stays independent of the modules it checks: from the
+    package it reads only the graph type and the errors."""
+    assert set(_package_imports(PACKAGE / "oracle.py")) <= {"core", "errors"}

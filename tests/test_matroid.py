@@ -1,5 +1,8 @@
 """Frame/lift circuits, ranks, components, coloops, connection, quasibalance."""
 
+import random
+import signal
+
 import pytest
 from hypothesis import given
 
@@ -9,6 +12,7 @@ from signedconn import (
     EdgeOutOfRange,
     SignedGraph,
     classify_circuit,
+    component_balance,
     frame_components,
     frame_isthmi,
     frame_rank,
@@ -186,6 +190,65 @@ class TestRanks:
         fr = frame_rank(g, range(g.m))
         lr = lift_rank(g, range(g.m))
         assert 0 <= lr <= fr <= g.n
+
+
+def _scattered_components(rng, n):
+    """A signed multigraph on n vertices, relabelled at random: several
+    components, each a random tree plus extra edges (loops and parallel
+    edges among them), some switched from all positive and so balanced,
+    the others signed at random; the edges are listed in random order."""
+    label = rng.sample(range(n), n)
+    triples = []
+    start = 0
+    while start < n:
+        size = min(n - start, rng.randint(1, max(1, n // 3)))
+        part = range(start, start + size)
+        pot = {v: rng.choice((1, -1)) for v in part} if rng.random() < 0.5 else None
+        pairs = [(v, rng.choice(part[: v - start])) for v in part[1:]]
+        extra = rng.randint(0, size)
+        pairs += [(rng.choice(part), rng.choice(part)) for _ in range(extra)]
+        pairs += rng.sample(pairs, min(len(pairs), rng.randint(0, 3)))
+        for u, v in pairs:
+            sign = pot[u] * pot[v] if pot else rng.choice((1, -1))
+            triples.append((label[u], label[v], sign))
+        start += size
+    rng.shuffle(triples)
+    return SignedGraph.from_triples(n, triples)
+
+
+class TestRanksOfLargeGraphs:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_full_ranks_agree_with_the_spine(self, seed):
+        # frame: n minus the balanced components; lift: n minus the
+        # components, plus 1 if any component is unbalanced
+        rng = random.Random(seed)
+        g = _scattered_components(rng, rng.choice((7, 60, 700, 5000)))
+        comps, balanced = component_balance(g)
+        assert len(comps) > 1
+        frame = g.n - sum(balanced)
+        lift = g.n - len(comps) + (not all(balanced))
+        for ids in (range(g.m), rng.sample(range(g.m), g.m)):
+            assert frame_rank(g, ids) == frame
+            assert lift_rank(g, ids) == lift
+
+    @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs an interval timer")
+    def test_a_star_listed_from_its_centre_takes_linear_time(self):
+        # the edges (0, i) hang the centre's root under leaf i, one by one:
+        # without path compression the centre's find walks i vertices, some
+        # 5 * 10^9 steps in all; with it both ranks take well under 1 s
+        n = 100_001
+        g = SignedGraph.from_triples(n, [(0, i, 1) for i in range(1, n)])
+
+        def too_slow(signum, frame):
+            raise TimeoutError("ranks of the star took over 10 s")
+
+        before = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 10)
+        try:
+            assert frame_rank(g, range(g.m)) == lift_rank(g, range(g.m)) == n - 1
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, before)
 
 
 class TestComponents:

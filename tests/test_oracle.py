@@ -1,6 +1,8 @@
 """The brute-force reference layer itself: enumeration, circuit families,
 circuit axioms, and the small-graph generator."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -150,3 +152,48 @@ class TestBipartite:
 
     def test_loop(self):
         assert not oracle.brute_is_bipartite(fixture("NEGLOOP"))
+
+
+def _balancing_edges_by_deletion(g):
+    """The balancing-edge oracle as one subset sweep per deleted edge: the
+    reference for `oracle.brute_balancing_edges`, which reads the kept cycle
+    list instead."""
+    out = set()
+    for piece in oracle._edge_pieces(g, range(g.m)):
+        if all(s == +1 for _, s in oracle.brute_cycles(g, piece)):
+            continue
+        for eid in piece:
+            rest = [i for i in piece if i != eid]
+            if all(s == +1 for _, s in oracle.brute_cycles(g, rest)):
+                out.add(eid)
+    return frozenset(out)
+
+
+def _random_multigraph(rng):
+    """Up to 7 vertices and 10 edges, loops and parallel edges included;
+    often in several components."""
+    n = rng.randint(1, 7)
+    triples = []
+    for _ in range(rng.randint(0, 10)):
+        u = rng.randrange(n)
+        v = u if rng.random() < 0.15 else rng.randrange(n)
+        triples.append((u, v, rng.choice((1, -1))))
+        if rng.random() < 0.15:
+            triples.append(triples[-1][:2] + (rng.choice((1, -1)),))
+    return SignedGraph.from_triples(n, triples[:10])
+
+
+class TestBalancingEdges:
+    def test_kept_cycles_agree_with_a_sweep_per_edge_on_all_small_graphs(self):
+        for g in oracle.generate_signed_graphs(4, 4):
+            assert oracle.brute_balancing_edges(g) == _balancing_edges_by_deletion(g)
+
+    def test_kept_cycles_agree_with_a_sweep_per_edge_on_random_multigraphs(self):
+        rng = random.Random(7)
+        found = 0
+        for _ in range(300):
+            g = _random_multigraph(rng)
+            want = _balancing_edges_by_deletion(g)
+            assert oracle.brute_balancing_edges(g) == want, g
+            found += bool(want)
+        assert found >= 50

@@ -1,16 +1,28 @@
 """The sweep's block-parallel `run_sweep` gives what one process checking
 every graph in order gives: the same counts, the same first counterexamples,
 the same progress reports.  Suite 4's local submodularity check agrees with
-the all-pairs definition, suite 6 checks each theta by definition, and
-suite 2's five characterizations of a balancing edge agree."""
+the all-pairs definition, its rank tables agree with the oracle's rank, and
+one wrong answer of the library gives a suite-4 violation; suite 6 checks
+each theta by definition, and suite 2's five characterizations of a
+balancing edge agree."""
 
 import multiprocessing
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 
-from signedconn import SignedGraph, Theta, is_balanced, is_connected, oracle, structure, sweep
+from signedconn import (
+    SignedGraph,
+    Theta,
+    is_balanced,
+    is_connected,
+    matroid,
+    oracle,
+    structure,
+    sweep,
+)
 from signedconn.errors import PreconditionError
 from signedconn.io import fixture
 
@@ -143,16 +155,140 @@ def _set_functions(rng, m):
         yield broken
 
 
+def _first_local_violation(tab, m):
+    """The local submodularity check by masks alone: the reference that
+    `sweep._submodularity_violation`, run over precomputed element lists,
+    must match."""
+    for mask in range(1 << m):
+        rest = [e for e in range(m) if not mask >> e & 1]
+        for i, e in enumerate(rest):
+            with_e = tab[mask | 1 << e]
+            for f in rest[i + 1:]:
+                if with_e + tab[mask | 1 << f] < tab[mask | 1 << e | 1 << f] + tab[mask]:
+                    return mask, e, f
+    return None
+
+
 def test_local_submodularity_agrees_with_all_pairs():
     rng = random.Random(44)
     verdicts = []
     for _ in range(1500):
         m = rng.choice((3, 4))
         for tab in _set_functions(rng, m):
-            local = sweep._submodularity_violation(tab, m) is None
-            assert local == _submodular_by_all_pairs(tab, m), (m, tab)
-            verdicts.append(local)
+            first = sweep._submodularity_violation(tab, sweep._members(m))
+            assert first == _first_local_violation(tab, m), (m, tab)
+            assert (first is None) == _submodular_by_all_pairs(tab, m), (m, tab)
+            verdicts.append(first is None)
     assert verdicts.count(True) >= 1000 and verdicts.count(False) >= 1000
+
+
+def _mask(edges):
+    return sum(1 << e for e in edges)
+
+
+def _random_circuit_lists(rng):
+    """(m, circuits) with m <= 7: the empty list, then random lists, each
+    with one circuit repeated and one superset of a circuit added."""
+    yield rng.randint(0, 7), []
+    for _ in range(120):
+        m = rng.randint(1, 7)
+        circuits = [
+            frozenset(rng.sample(range(m), rng.randint(1, m))) for _ in range(rng.randint(1, 5))
+        ]
+        circuits.append(rng.choice(circuits))
+        circuits.append(rng.choice(circuits) | {rng.randrange(m)})
+        yield m, circuits
+
+
+def _assert_rank_table_is_the_oracle_rank(m, circuits):
+    table = sweep._rank_table(m, [_mask(c) for c in circuits])
+    assert len(table) == 1 << m
+    for mask in range(1 << m):
+        subset = [e for e in range(m) if mask >> e & 1]
+        assert table[mask] == oracle.rank_from_circuits(circuits, subset), (m, circuits, mask)
+
+
+def test_rank_table_agrees_with_the_oracle_rank_on_random_circuits():
+    for m, circuits in _random_circuit_lists(random.Random(12)):
+        _assert_rank_table_is_the_oracle_rank(m, circuits)
+
+
+def test_rank_table_agrees_with_the_oracle_rank_on_frame_and_lift_circuits():
+    rng = random.Random(45)
+    sample = [g for g in oracle.generate_signed_graphs(4, 5) if rng.random() < 0.004]
+    assert len(sample) > 150
+    for g in sample:
+        _assert_rank_table_is_the_oracle_rank(g.m, oracle.enumerate_frame_circuits(g))
+        _assert_rank_table_is_the_oracle_rank(g.m, oracle.enumerate_lift_circuits(g))
+
+
+def _off_by_one_on(subset, real):
+    def patched(g, edge_ids):
+        edge_ids = list(edge_ids)
+        return real(g, edge_ids) + (sorted(edge_ids) == subset)
+    return patched
+
+
+def _flipped_on(subset, real):
+    def patched(g, edge_ids):
+        edge_ids = list(edge_ids)
+        if sorted(edge_ids) != subset:
+            return real(g, edge_ids)
+        return matroid.CircuitClassification(matroid.CircuitVerdict.DISJOINT_PAIR)
+    return patched
+
+
+def _split_lift_class(real):
+    # the class {0, ..., 5} of LOOSE split in two; the coloop {6} is kept
+    def patched(g):
+        part = real(g)
+        classes = [c for c in part.classes if len(c) == 1]
+        return replace(part, classes=(frozenset({0, 1, 2}), frozenset({3, 4, 5}), *classes))
+    return patched
+
+
+# LOOSE: negative triangles 0-1-2 and 3-4-5 joined by the bridge 6
+_SUITE_4_FAULTS = [
+    ("frame_rank", lambda real: _off_by_one_on([0, 1], real),
+     "rank mismatch on [0, 1]: frame 3 vs 2, lift 2 vs 2"),
+    ("lift_rank", lambda real: _off_by_one_on([0, 1, 2, 3, 4, 5], real),
+     "rank mismatch on [0, 1, 2, 3, 4, 5]: frame 6 vs 6, lift 6 vs 5"),
+    ("classify_circuit", lambda real: _flipped_on([0, 1, 2, 3, 4, 5, 6], real),
+     "classify_circuit([0, 1, 2, 3, 4, 5, 6]) = CircuitVerdict.DISJOINT_PAIR "
+     "disagrees with oracle"),
+    ("frame_isthmi", lambda real: lambda g: real(g) | {6},
+     "frame coloops [6] != circuit-free edges"),
+    ("lift_components", _split_lift_class,
+     "lift components differ from circuit closure"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, fault, message", _SUITE_4_FAULTS, ids=[f[0] for f in _SUITE_4_FAULTS]
+)
+def test_suite_4_catches_one_wrong_answer(monkeypatch, name, fault, message):
+    assert sweep.check_graph(fixture("LOOSE"), [4]) == []
+    monkeypatch.setattr(matroid, name, fault(getattr(matroid, name)))
+    found = sweep.check_graph(fixture("LOOSE"), [4])
+    assert [(v.suite, v.message) for v in found] == [(4, message)]
+
+
+# set functions that break one rank axiom each, and the first violation
+# suite 4 reports for them
+_BROKEN_RANKS = [
+    (lambda mask: 1 + mask.bit_count(), "frame rank of empty set is 1"),
+    (lambda mask: 2 * mask.bit_count(), "frame rank not unit-increasing at 0+0"),
+    (lambda mask: max(0, mask.bit_count() - 1), "frame rank not submodular at 0+0+1"),
+]
+
+
+@pytest.mark.parametrize("rank, message", _BROKEN_RANKS, ids=["empty", "unit", "submodular"])
+def test_suite_4_checks_the_rank_axioms(monkeypatch, rank, message):
+    # the library's ranks and the oracle's tables agree, but break an axiom
+    for name in ("frame_rank", "lift_rank"):
+        monkeypatch.setattr(matroid, name, lambda g, edge_ids: rank(_mask(edge_ids)))
+    monkeypatch.setattr(sweep, "_rank_table", lambda m, masks: [rank(x) for x in range(1 << m)])
+    assert [v.message for v in sweep.check_graph(fixture("LOOSE"), [4])] == [message]
 
 
 # THETA: edge 0 joins 0-1, edges 1, 2 run 0-2-1 and edges 3, 4 run 0-3-1
