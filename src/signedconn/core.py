@@ -215,24 +215,6 @@ class _Spine:
         end a) closes: the edge plus the tree path from d up to a."""
         return frozenset((eid, *self.tree_path(d, a)))
 
-    def cut_vertices(self) -> frozenset[int]:
-        """Vertices whose deletion disconnects their component: a root with
-        two or more children, or a non-root with a child whose subtree
-        reaches no proper ancestor of it."""
-        out = set()
-        root_children = [0] * len(self.comp_frustrated)
-        for c in self.order:
-            p = self.parent[c]
-            if p < 0:
-                continue
-            if self.parent[p] < 0:
-                root_children[self.comp[p]] += 1
-                if root_children[self.comp[p]] == 2:
-                    out.add(p)
-            elif self.low[c] >= self.disc[p]:
-                out.add(p)
-        return frozenset(out)
-
 
 def connected_components(g: SignedGraph) -> list[frozenset[int]]:
     """Vertex sets of the connected components, ordered by smallest vertex.
@@ -246,6 +228,31 @@ def _components(g: SignedGraph) -> tuple[frozenset[int], ...]:
     for v in sp.order:
         members[sp.comp[v]].append(v)
     return tuple(frozenset(vs) for vs in members)
+
+
+def cut_vertices(g: SignedGraph) -> frozenset[int]:
+    """Vertices whose deletion disconnects their component.  Computed once
+    per graph object and kept on it."""
+    return _kept(g, "_cut_vertices", _cut_vertices)
+
+
+def _cut_vertices(g: SignedGraph) -> frozenset[int]:
+    """Off the spine: a root with two or more children, or a non-root with a
+    child whose subtree reaches no proper ancestor of it."""
+    sp = g.spine
+    out = set()
+    root_children = [0] * len(sp.comp_frustrated)
+    for c in sp.order:
+        p = sp.parent[c]
+        if p < 0:
+            continue
+        if sp.parent[p] < 0:
+            root_children[sp.comp[p]] += 1
+            if root_children[sp.comp[p]] == 2:
+                out.add(p)
+        elif sp.low[c] >= sp.disc[p]:
+            out.add(p)
+    return frozenset(out)
 
 
 def is_connected(g: SignedGraph) -> bool:

@@ -1,7 +1,7 @@
 """Brute-force reference implementations used only for cross-checking.
 
 Everything here recomputes answers from first principles -- edge-subset
-sweeps, walk dynamic programming, and minimal-dependent-set searches -- and
+sweeps, the closure of walk states, and minimal-dependent-set searches -- and
 deliberately shares no code with the analysis modules it checks.
 """
 
@@ -85,9 +85,28 @@ def brute_cycles(
 
 
 def _sweep_cycles(g: SignedGraph, ground: list[int]) -> list[tuple[frozenset[int], Sign]]:
+    """Every subset of `ground` that `subset_is_elementary_cycle` accepts,
+    by increasing mask, with its sign.
+
+    The degrees of a subset are packed four bits per vertex, an edge adding
+    1 at each end and a loop 2 at its vertex; the sums for all masks come
+    from the masks without their highest element.  A mask whose digits are
+    not all 0 or 2 is no cycle and is skipped.  A cycle's digits are 0 or 2,
+    so they never carry; a carry needs a degree of 16 or more, and a mask
+    that passes with one is still checked by the definition, like every
+    mask that passes.
+    """
+    degrees = [0]
+    for eid in ground:
+        e = g.edges[eid]
+        code = 2 << 4 * e.u if e.u == e.v else 1 << 4 * e.u | 1 << 4 * e.v
+        degrees += [d + code for d in degrees]
+    odd = ~sum(2 << 4 * v for v in range(g.n))  # all bits but the 2 of each digit
     out = []
-    for mask in range(1, 1 << len(ground)):
-        subset = [ground[i] for i in range(len(ground)) if mask >> i & 1]
+    for mask, degree in enumerate(degrees):
+        if degree & odd or not mask:
+            continue
+        subset = [eid for i, eid in enumerate(ground) if mask >> i & 1]
         if subset_is_elementary_cycle(g, subset):
             sign = 1
             for eid in subset:
@@ -121,7 +140,7 @@ def brute_is_quasibalanced(g: SignedGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# chain signs by walk dynamic programming
+# chain signs by the closure of walk states
 
 def chain_sign_table(g: SignedGraph) -> list[list[frozenset[Sign]]]:
     """table[x][y] = set of signs realized by chains from x to y.  Computed
@@ -132,24 +151,33 @@ def chain_sign_table(g: SignedGraph) -> list[list[frozenset[Sign]]]:
     return [list(row) for row in memo["_oracle_chain_signs"]]
 
 
+# the signs of the chains from x to a vertex, by the bits that record them:
+# 1 for a positive chain, 2 for a negative one
+_SIGN_SETS = (frozenset(), frozenset({+1}), frozenset({-1}), frozenset({+1, -1}))
+
+
 def _chain_signs(g: SignedGraph) -> tuple[tuple[frozenset[Sign], ...], ...]:
-    """Walk DP over lengths up to 2n: states (vertex, accumulated sign),
-    seeded at (x, +1); a state set that stops growing is complete."""
+    """Per start x, the closure of the walk states (vertex, accumulated
+    sign) from (x, +1): a worklist in which each of the 2n states is
+    expanded once, when it is first reached.  A negative edge swaps the
+    sign bits 1 and 2 (xor 3)."""
+    steps = [
+        [(e.v if e.u == v else e.u, 3 if e.sign < 0 else 0) for e in edges]
+        for v, edges in enumerate(g.adjacency)
+    ]
     table = []
     for x in range(g.n):
-        states = {(x, +1)}
-        for _ in range(2 * g.n):
-            new = set(states)
-            for v, s in states:
-                for e in g.adjacency[v]:
-                    new.add((e.other(v), s * e.sign))
-            if new == states:
-                break
-            states = new
-        row: list[set[Sign]] = [set() for _ in range(g.n)]
-        for v, s in states:
-            row[v].add(s)
-        table.append(tuple(frozenset(signs) for signs in row))
+        reached = [0] * g.n
+        reached[x] = 1
+        todo = [(x, 1)]
+        while todo:
+            v, bit = todo.pop()
+            for w, flip in steps[v]:
+                b = bit ^ flip
+                if not reached[w] & b:
+                    reached[w] |= b
+                    todo.append((w, b))
+        table.append(tuple(_SIGN_SETS[bits] for bits in reached))
     return tuple(table)
 
 

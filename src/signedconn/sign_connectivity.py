@@ -11,6 +11,7 @@ from .core import (
     Walk,
     chain_with_sign,
     connected_components,
+    cut_vertices,
     walk_sign,
 )
 from .errors import NotSignConnected, PreconditionError
@@ -103,7 +104,7 @@ def sign_articulation_vertices(g: SignedGraph) -> frozenset[int]:
     _require_sign_connected(g)
     if g.n <= 2:
         return frozenset()
-    return g.spine.cut_vertices() | balancing_vertices(g)
+    return cut_vertices(g) | balancing_vertices(g)
 
 
 def is_sign_block(g: SignedGraph) -> bool:

@@ -9,7 +9,7 @@ from enum import Enum
 from typing import Optional
 
 from .balance import balancing_vertices
-from .core import SignedGraph, Walk, _kept, _Spine
+from .core import SignedGraph, Walk, _kept, _Spine, cut_vertices
 from .errors import NotABlock
 
 
@@ -128,7 +128,7 @@ def _block_decomposition(g: SignedGraph) -> BlockDecomposition:
 
     # a loop is a block of its own, so its vertex lies in a second block as
     # soon as it has another incident edge
-    articulation = sp.cut_vertices() | {
+    articulation = cut_vertices(g) | {
         e.u for e in g.edges if e.u == e.v and len(g.adjacency[e.u]) >= 2
     }
 

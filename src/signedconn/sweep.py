@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from itertools import chain, islice
 from typing import Callable, Iterable, Optional
 
@@ -81,44 +81,82 @@ def _closure_classes(m: int, circuits: Iterable[frozenset[int]]) -> set[frozense
     return {frozenset(c) for c in classes.values()}
 
 
-def _rank_table(m: int, circuit_masks: Iterable[int]) -> list[int]:
-    """rank[mask] from the circuits, given as masks: the size of a largest
-    subset of the mask that contains no circuit.
+@cache
+def _members(m: int) -> tuple[tuple[int, ...], ...]:
+    """Per mask on m elements, the elements it holds, in increasing order.
 
-    `dependent` marks each circuit's mask and is then closed under supersets,
-    one pass per element, in O(m 2^m): afterwards it marks exactly the masks
-    that contain a circuit.  Such a mask has the rank of its best
-    one-element deletion; any other mask is independent, of rank its size.
+    This table and the two below depend on m alone, so each is built once
+    per edge count in a process and read by every graph with that many
+    edges.  They hold no graph data, and there are at most max_m + 1 of
+    each."""
+    return tuple(tuple(e for e in range(m) if mask >> e & 1) for mask in range(1 << m))
+
+
+@cache
+def _steps(m: int) -> tuple[tuple[int, int, int], ...]:
+    """(mask, e, mask + e) for every mask on m elements and every element e
+    outside it, by increasing mask, then increasing e."""
+    members, full = _members(m), (1 << m) - 1
+    return tuple(
+        (mask, e, mask | 1 << e) for mask in range(1 << m) for e in members[full ^ mask]
+    )
+
+
+@cache
+def _quadruples(m: int) -> tuple[tuple[int, int, int, int, int, int], ...]:
+    """(S, e, f, S+e, S+f, S+e+f) for every mask S on m elements and all
+    elements e < f outside it, by increasing S, then e, then f."""
+    members, full = _members(m), (1 << m) - 1
+    out = []
+    for mask in range(1 << m):
+        rest = members[full ^ mask]
+        for i, e in enumerate(rest):
+            for f in rest[i + 1:]:
+                out.append((mask, e, f, mask | 1 << e, mask | 1 << f, mask | 1 << e | 1 << f))
+    return tuple(out)
+
+
+def _rank_table(m: int, circuit_masks: Iterable[int]) -> list[int]:
+    """rank[mask] from the circuits, given as nonempty masks: the size of a
+    largest subset of the mask that contains no circuit.
+
+    A mask that contains a circuit has the rank of its best one-element
+    deletion; any other mask is independent, of rank its size, one more
+    than its best deletion.  One forward pass over `_steps` closes the
+    circuit marks under supersets and carries each rank up to the masks one
+    element larger.  Every step goes from a mask to a larger one, so when
+    the pass leaves a mask, every step into it has been taken: its mark and
+    its best deletion are final.
     """
     size = 1 << m
     dependent = [False] * size
     for cm in circuit_masks:
         dependent[cm] = True
-    for e in range(m):
-        bit = 1 << e
-        for mask in range(size):
-            if dependent[mask]:
-                dependent[mask | bit] = True
-    table = [0] * size
-    for mask in range(1, size):
+    best = [-1] * size  # the largest rank of a one-element deletion; -1: none
+    for mask, _, up in _steps(m):
         if dependent[mask]:
-            table[mask] = max([table[mask ^ 1 << e] for e in range(m) if mask >> e & 1])
+            dependent[up] = True
+            rank = best[mask]
         else:
-            table[mask] = mask.bit_count()
-    return table
+            rank = best[mask] + 1
+        if rank > best[up]:
+            best[up] = rank
+    return [b if d else b + 1 for b, d in zip(best, dependent)]
 
 
-def _members(m: int) -> list[list[int]]:
-    """Per mask on m elements, the elements it holds, in increasing order."""
-    return [[e for e in range(m) if mask >> e & 1] for mask in range(1 << m)]
+def _unit_increase_violation(tab: list[int]) -> Optional[tuple[int, int]]:
+    """The first (S, e), S a mask and e an element outside it, with r(S+e)
+    neither r(S) nor r(S) + 1; None if the set function `tab` has none."""
+    for mask, e, up in _steps(len(tab).bit_length() - 1):
+        if not tab[mask] <= tab[up] <= tab[mask] + 1:
+            return mask, e
+    return None
 
 
-def _submodularity_violation(
-    tab: list[int], members: list[list[int]]
-) -> Optional[tuple[int, int, int]]:
+def _submodularity_violation(tab: list[int]) -> Optional[tuple[int, int, int]]:
     """The first (S, e, f), S a mask and e < f elements outside it, with
     r(S+e) + r(S+f) < r(S+e+f) + r(S); None if the set function `tab` is
-    submodular.  `members` is `_members` of its number of elements.
+    submodular.
 
     For any set function this local form is equivalent to
     r(A) + r(B) >= r(A | B) + r(A & B) for all A, B (Schrijver, Combinatorial
@@ -132,14 +170,9 @@ def _submodularity_violation(
     It takes C(m - |S|, 2) checks per S, 80 in all at m = 5, where the loop
     over all pairs of masks takes 528.
     """
-    full = len(tab) - 1
-    for mask, low in enumerate(tab):
-        rest = members[full ^ mask]
-        for i, e in enumerate(rest):
-            with_e = tab[mask | 1 << e]
-            for f in rest[i + 1:]:
-                if with_e + tab[mask | 1 << f] < tab[mask | 1 << e | 1 << f] + low:
-                    return mask, e, f
+    for mask, e, f, with_e, with_f, with_ef in _quadruples(len(tab).bit_length() - 1):
+        if tab[with_e] + tab[with_f] < tab[with_ef] + tab[mask]:
+            return mask, e, f
     return None
 
 
@@ -227,8 +260,6 @@ def _check_suite_3(g: SignedGraph, fail):
 
 def _check_suite_4(g: SignedGraph, fail):
     m = g.m
-    full = (1 << m) - 1
-    members = _members(m)
     frame_set = set(oracle.enumerate_frame_circuits(g))
     lift_set = set(oracle.enumerate_lift_circuits(g))
     frame_masks = {sum(1 << e for e in c) for c in frame_set}
@@ -237,30 +268,29 @@ def _check_suite_4(g: SignedGraph, fail):
     lift_tab = _rank_table(m, lift_masks)
     frame_lib = [0] * (1 << m)
     lift_lib = [0] * (1 << m)
-    for mask, subset in enumerate(members):
+    for mask, subset in enumerate(_members(m)):
         fr = matroid.frame_rank(g, subset)
         lr = matroid.lift_rank(g, subset)
         frame_lib[mask], lift_lib[mask] = fr, lr
         if fr != frame_tab[mask] or lr != lift_tab[mask]:
             fail(
-                f"rank mismatch on {subset}: frame {fr} vs {frame_tab[mask]}, "
+                f"rank mismatch on {list(subset)}: frame {fr} vs {frame_tab[mask]}, "
                 f"lift {lr} vs {lift_tab[mask]}"
             )
             return
         cls = matroid.classify_circuit(g, subset)
         if cls.in_frame != (mask in frame_masks) or cls.in_lift != (mask in lift_masks):
-            fail(f"classify_circuit({subset}) = {cls.verdict} disagrees with oracle")
+            fail(f"classify_circuit({list(subset)}) = {cls.verdict} disagrees with oracle")
             return
     for tab, label in ((frame_lib, "frame"), (lift_lib, "lift")):
         if tab[0] != 0:
             fail(f"{label} rank of empty set is {tab[0]}")
             return
-        for mask, low in enumerate(tab):
-            for e in members[full ^ mask]:
-                if not low <= tab[mask | 1 << e] <= low + 1:
-                    fail(f"{label} rank not unit-increasing at {mask}+{e}")
-                    return
-        broken = _submodularity_violation(tab, members)
+        broken = _unit_increase_violation(tab)
+        if broken is not None:
+            fail(f"{label} rank not unit-increasing at {broken[0]}+{broken[1]}")
+            return
+        broken = _submodularity_violation(tab)
         if broken is not None:
             fail(f"{label} rank not submodular at {broken[0]}+{broken[1]}+{broken[2]}")
             return
@@ -522,10 +552,24 @@ _CHECKS = {
 }
 
 
+def _chosen(suites: Optional[Iterable[int]]) -> list[int]:
+    """The suites to run, in increasing order: all of them for None.  An
+    empty selection or an unknown suite raises ValueError."""
+    if suites is None:
+        return sorted(_CHECKS)
+    chosen = set(suites)
+    if not chosen:
+        raise ValueError("no suite selected")
+    for suite in chosen:
+        if suite not in _CHECKS:
+            raise ValueError(f"unknown suite {suite!r}; the suites are {sorted(_CHECKS)}")
+    return sorted(chosen)
+
+
 def check_graph(g: SignedGraph, suites: Optional[Iterable[int]] = None) -> list[Violation]:
     """All suite violations on one graph (at most one per suite)."""
     out: list[Violation] = []
-    for suite in sorted(suites or _CHECKS):
+    for suite in _chosen(suites):
         msgs: list[str] = []
         _CHECKS[suite](g, msgs.append)
         for msg in msgs:
@@ -547,7 +591,7 @@ def _graph(flat: tuple[int, ...]) -> SignedGraph:
 
 
 def _check_slice(
-    suites: Optional[list[int]], flats: list[tuple[int, ...]]
+    suites: list[int], flats: list[tuple[int, ...]]
 ) -> list[tuple[int, list[tuple[int, str]]]]:
     """(position, [(suite, message), ...]) per failing graph of a slice, in
     the slice's order."""
@@ -559,7 +603,7 @@ def _check_slice(
     return out
 
 
-def _check_block(block: list[tuple[int, ...]], suites: Optional[list[int]], workers, w: int):
+def _check_block(block: list[tuple[int, ...]], suites: list[int], workers, w: int):
     """(index, [(suite, message), ...]) per failing graph of the block, in
     index order; worker j checks the graphs with index j modulo w."""
     if workers is None:
@@ -606,7 +650,7 @@ def run_sweep(
         shuffled.reverse()
         # popped as taken, so that the list shrinks block by block
         flats = (shuffled.pop() for _ in range(len(shuffled)))
-    suites = None if suites is None else list(suites)
+    suites = _chosen(suites)  # a bad selection fails here, before any worker starts
     w = _usable_cpus()
     if (
         "fork" not in multiprocessing.get_all_start_methods()

@@ -197,3 +197,100 @@ class TestBalancingEdges:
             assert oracle.brute_balancing_edges(g) == want, g
             found += bool(want)
         assert found >= 50
+
+
+def _cycles_by_plain_sweep(g, ground):
+    """Every mask of `ground` tested by the definition, none skipped: the
+    reference for `oracle._sweep_cycles`, which skips by packed degrees."""
+    out = []
+    for mask in range(1, 1 << len(ground)):
+        subset = [ground[i] for i in range(len(ground)) if mask >> i & 1]
+        if oracle.subset_is_elementary_cycle(g, subset):
+            sign = 1
+            for eid in subset:
+                sign *= g.edges[eid].sign
+            out.append((frozenset(subset), sign))
+    return out
+
+
+def _chain_signs_by_rounds(g):
+    """Walk states expanded round by round, the whole state set each round,
+    up to 2n rounds: the reference for `oracle._chain_signs`."""
+    table = []
+    for x in range(g.n):
+        states = {(x, +1)}
+        for _ in range(2 * g.n):
+            new = set(states)
+            for v, s in states:
+                for e in g.adjacency[v]:
+                    new.add((e.other(v), s * e.sign))
+            if new == states:
+                break
+            states = new
+        row = [set() for _ in range(g.n)]
+        for v, s in states:
+            row[v].add(s)
+        table.append(tuple(frozenset(signs) for signs in row))
+    return tuple(table)
+
+
+def _assert_same_walks_and_cycles(g, rng):
+    assert oracle._chain_signs(g) == _chain_signs_by_rounds(g), g
+    assert oracle._sweep_cycles(g, list(range(g.m))) == _cycles_by_plain_sweep(g, list(range(g.m)))
+    # a subset, given unsorted and with repeats
+    chosen = [eid for eid in range(g.m) if rng.random() < 0.6]
+    given = chosen + chosen[:1]
+    rng.shuffle(given)
+    assert oracle.brute_cycles(g, given) == _cycles_by_plain_sweep(g, chosen), (g, chosen)
+
+
+def _loopy_multigraph(rng):
+    """A random multigraph with one vertex carrying 8 to 10 loops, so that
+    its packed degree digit carries."""
+    n = rng.randint(1, 4)
+    heavy = rng.randrange(n)
+    triples = [(heavy, heavy, rng.choice((1, -1))) for _ in range(rng.randint(8, 10))]
+    for _ in range(rng.randint(0, 3)):
+        triples.append((rng.randrange(n), rng.randrange(n), rng.choice((1, -1))))
+    rng.shuffle(triples)
+    return SignedGraph.from_triples(n, triples)
+
+
+class TestRewritesAgreeWithTheirReferences:
+    """The degree-filtered cycle sweep and the worklist closure of walk
+    states give what the plain loops they replace give."""
+
+    def test_on_all_small_graphs(self):
+        rng = random.Random(13)
+        for g in oracle.generate_signed_graphs(4, 4):
+            _assert_same_walks_and_cycles(g, rng)
+
+    def test_on_random_multigraphs(self):
+        rng = random.Random(14)
+        for _ in range(300):
+            _assert_same_walks_and_cycles(_random_multigraph(rng), rng)
+
+    def test_on_multigraphs_whose_degree_digits_carry(self):
+        rng = random.Random(15)
+        for _ in range(12):
+            _assert_same_walks_and_cycles(_loopy_multigraph(rng), rng)
+
+    def test_a_carry_that_passes_the_filter_is_decided_by_the_definition(self, monkeypatch):
+        # 8 loops at 0 and at 2 carry 1 into the digits of 1 and 3, where the
+        # edge 1-3 leaves 1 each: every digit reads 0 or 2, yet the 17 edges
+        # are no cycle
+        g = SignedGraph.from_triples(4, [(0, 0, 1)] * 8 + [(2, 2, -1)] * 8 + [(1, 3, 1)])
+        decided = []
+        definition = oracle.subset_is_elementary_cycle
+
+        def recording(graph, subset):
+            decided.append(sorted(subset))
+            return definition(graph, subset)
+
+        monkeypatch.setattr(oracle, "subset_is_elementary_cycle", recording)
+        found = oracle._sweep_cycles(g, list(range(17)))
+        assert list(range(17)) in decided
+        assert len(found) == 16 and all(len(c) == 1 for c, _ in found)
+        assert len(decided) < 1 << 10  # the filter skips almost all 2^17 masks
+        monkeypatch.undo()
+        assert found == _cycles_by_plain_sweep(g, list(range(17)))

@@ -1,10 +1,11 @@
 """The sweep's block-parallel `run_sweep` gives what one process checking
 every graph in order gives: the same counts, the same first counterexamples,
-the same progress reports.  Suite 4's local submodularity check agrees with
-the all-pairs definition, its rank tables agree with the oracle's rank, and
-one wrong answer of the library gives a suite-4 violation; suite 6 checks
-each theta by definition, and suite 2's five characterizations of a
-balancing edge agree."""
+the same progress reports, and a bad suite selection is refused up front.
+Suite 4's local submodularity check agrees with the all-pairs definition,
+its per-size tables with the loops they replace, its rank tables with the
+oracle's rank, and one wrong answer of the library gives a suite-4
+violation; suite 6 checks each theta by definition, and suite 2's five
+characterizations of a balancing edge agree."""
 
 import multiprocessing
 import random
@@ -157,8 +158,8 @@ def _set_functions(rng, m):
 
 def _first_local_violation(tab, m):
     """The local submodularity check by masks alone: the reference that
-    `sweep._submodularity_violation`, run over precomputed element lists,
-    must match."""
+    `sweep._submodularity_violation`, run over the per-size table of
+    quadruples, must match."""
     for mask in range(1 << m):
         rest = [e for e in range(m) if not mask >> e & 1]
         for i, e in enumerate(rest):
@@ -175,11 +176,63 @@ def test_local_submodularity_agrees_with_all_pairs():
     for _ in range(1500):
         m = rng.choice((3, 4))
         for tab in _set_functions(rng, m):
-            first = sweep._submodularity_violation(tab, sweep._members(m))
+            first = sweep._submodularity_violation(tab)
             assert first == _first_local_violation(tab, m), (m, tab)
             assert (first is None) == _submodular_by_all_pairs(tab, m), (m, tab)
             verdicts.append(first is None)
     assert verdicts.count(True) >= 1000 and verdicts.count(False) >= 1000
+
+
+def _first_unit_increase_violation(tab, m):
+    """The unit-increase scan by masks alone, the reference for
+    `sweep._unit_increase_violation`."""
+    for mask in range(1 << m):
+        for e in range(m):
+            if not mask >> e & 1 and not tab[mask] <= tab[mask | 1 << e] <= tab[mask] + 1:
+                return mask, e
+    return None
+
+
+def _rank_table_by_closure(m, circuit_masks):
+    """Circuit marks closed under supersets one element at a time, then each
+    rank read off the marks: the reference for `sweep._rank_table`, which
+    does both in one forward pass."""
+    size = 1 << m
+    dependent = [False] * size
+    for cm in circuit_masks:
+        dependent[cm] = True
+    for e in range(m):
+        for mask in range(size):
+            if dependent[mask]:
+                dependent[mask | 1 << e] = True
+    table = [0] * size
+    for mask in range(1, size):
+        if dependent[mask]:
+            table[mask] = max(table[mask ^ 1 << e] for e in range(m) if mask >> e & 1)
+        else:
+            table[mask] = mask.bit_count()
+    return table
+
+
+def test_suite_4_tables_agree_with_the_loops_they_replace():
+    rng = random.Random(46)
+    found = {"unit": 0, "submodular": 0}
+    for m in range(8):
+        assert sweep._members(m) == tuple(
+            tuple(e for e in range(m) if mask >> e & 1) for mask in range(1 << m)
+        )
+        for _ in range(60):
+            circuits = [rng.randrange(1, 1 << m) for _ in range(rng.randint(0, 5))] if m else []
+            rank = sweep._rank_table(m, circuits)
+            assert rank == _rank_table_by_closure(m, circuits), (m, circuits)
+            for tab in (rank, *_set_functions(rng, m)):
+                unit = sweep._unit_increase_violation(tab)
+                assert unit == _first_unit_increase_violation(tab, m), (m, tab)
+                submodular = sweep._submodularity_violation(tab)
+                assert submodular == _first_local_violation(tab, m), (m, tab)
+                found["unit"] += unit is not None
+                found["submodular"] += submodular is not None
+    assert min(found.values()) >= 100
 
 
 def _mask(edges):
@@ -311,6 +364,31 @@ def test_suite_6_checks_each_theta_by_definition(monkeypatch):
 
     monkeypatch.setattr(structure, "contains_theta", lambda g: _BROKEN_THETAS[1])
     assert [v.suite for v in sweep.check_graph(g) if "theta" in v.message] == [6]
+
+
+@pytest.mark.parametrize(
+    "suites, bad", [([], "no suite"), ([10], "unknown suite 10;"), ([0, 4], "unknown suite 0;")]
+)
+def test_a_bad_suite_selection_is_refused_before_any_worker_starts(monkeypatch, suites, bad):
+    def no_pool(*args):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    with pytest.raises(ValueError, match=bad):
+        sweep.run_sweep(2, 2, suites=suites)
+    with pytest.raises(ValueError, match=bad):
+        sweep.check_graph(fixture("T-"), suites)
+
+
+def test_a_suite_selection_runs_those_suites_in_order(monkeypatch):
+    ran = []
+    monkeypatch.setattr(
+        sweep, "_CHECKS", {k: lambda g, fail, k=k: ran.append(k) for k in sweep.SUITES}
+    )
+    sweep.check_graph(fixture("T-"), (8, 3, 8))
+    sweep.check_graph(fixture("T-"))
+    assert ran == [3, 8, *sweep.SUITES]
 
 
 class TestBalancingEdgeEquivalences:
