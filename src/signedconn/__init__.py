@@ -18,14 +18,12 @@ from .balance import (
     is_balanced,
 )
 from .core import (
-    DoubleCover,
     Edge,
     Sign,
     SignedGraph,
     Walk,
     chain_with_sign,
     connected_components,
-    double_cover,
     is_connected,
     sign_reachability,
     switch,

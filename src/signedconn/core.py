@@ -1,5 +1,5 @@
 """Signed multigraph primitives: graphs, their depth-first spine, walks,
-switching, the signed double cover.
+switching, sign reachability and chains of a given sign.
 
 Vertices are dense integers 0..n-1 and edge ids are dense 0..m-1.  Loops and
 parallel edges are allowed.  All structures are immutable; every operation is a
@@ -230,31 +230,6 @@ def _components(g: SignedGraph) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(vs) for vs in members)
 
 
-def cut_vertices(g: SignedGraph) -> frozenset[int]:
-    """Vertices whose deletion disconnects their component.  Computed once
-    per graph object and kept on it."""
-    return _kept(g, "_cut_vertices", _cut_vertices)
-
-
-def _cut_vertices(g: SignedGraph) -> frozenset[int]:
-    """Off the spine: a root with two or more children, or a non-root with a
-    child whose subtree reaches no proper ancestor of it."""
-    sp = g.spine
-    out = set()
-    root_children = [0] * len(sp.comp_frustrated)
-    for c in sp.order:
-        p = sp.parent[c]
-        if p < 0:
-            continue
-        if sp.parent[p] < 0:
-            root_children[sp.comp[p]] += 1
-            if root_children[sp.comp[p]] == 2:
-                out.add(p)
-        elif sp.low[c] >= sp.disc[p]:
-            out.add(p)
-    return frozenset(out)
-
-
 def is_connected(g: SignedGraph) -> bool:
     return len(g.spine.comp_frustrated) <= 1
 
@@ -341,68 +316,46 @@ def switch(g: SignedGraph, w_set: Iterable[int]) -> SignedGraph:
     return SignedGraph.from_triples(g.n, triples)
 
 
-def _cover_index(v: int, s: Sign) -> int:
-    return 2 * v + (0 if s == +1 else 1)
+_BOTH_SIGNS = frozenset({+1, -1})
 
 
-@dataclass(frozen=True)
-class DoubleCover:
-    """Two-fold cover with vertex (v,s) and, per base edge e={u,v}, the two
-    cover edges (u,s)-(v, s*sign(e)).  Vertex (v,s) has index 2v for s=+1 and
-    2v+1 for s=-1; walking the cover tracks chain signs in the base graph.
-    """
+def sign_reachability(g: SignedGraph, x: int) -> dict[int, frozenset[Sign]]:
+    """For every vertex y, the set of signs realized by some chain x..y.
 
-    base: SignedGraph
-    vertices: tuple[tuple[int, Sign], ...]
-    edges: tuple[tuple[int, int, int], ...]  # (cover u, cover v, base edge id)
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(2 * self.base.n)]
-        for cu, cv, eid in self.edges:
-            adj[cu].append((cv, eid))
-            if cv != cu:
-                adj[cv].append((cu, eid))
-        return tuple(tuple(a) for a in adj)
-
-    def component_labels(self) -> list[int]:
-        """Connected-component label per cover vertex, labels by first visit."""
-        label = [-1] * (2 * self.base.n)
-        nxt = 0
-        for root in range(2 * self.base.n):
-            if label[root] != -1:
-                continue
-            label[root] = nxt
-            queue = deque([root])
-            while queue:
-                cv = queue.popleft()
-                for cw, _ in self.adjacency[cv]:
-                    if label[cw] == -1:
-                        label[cw] = nxt
-                        queue.append(cw)
-            nxt += 1
-        return label
-
-
-def double_cover(g: SignedGraph) -> DoubleCover:
-    vertices = tuple((v, s) for v in range(g.n) for s in (+1, -1))
-    edges = []
-    for e in g.edges:
-        for s in (+1, -1):
-            edges.append((_cover_index(e.u, s), _cover_index(e.v, s * e.sign), e.id))
-    return DoubleCover(g, vertices, tuple(edges))
-
-
-def _cover_bfs(g: SignedGraph, x: int) -> list[Optional[tuple[int, int]]]:
-    """BFS over the double cover from (x,+1), with its vertices and edges left
-    implicit: from (v,s) the base edge e leads to (other end, s*sign(e)).
-
-    Returns, per cover vertex, None (unreached), or (predecessor cover vertex,
-    base edge id); the root is marked with (-1, -1).
+    Read off the spine by Zaslavsky's balance theorem (Signed graphs, 1982):
+    no chain leaves the component of x; in an unbalanced one a negative
+    closed chain can be spliced into any chain, so both signs reach every
+    vertex; in a balanced one every edge uv has sign pot(u)*pot(v), so every
+    chain x..y has sign pot(x)*pot(y).
     """
     g.check_vertex(x)
+    sp = g.spine
+    c = sp.comp[x]
+    unbalanced = sp.comp_frustrated[c] > 0
+    return {
+        y: frozenset() if sp.comp[y] != c
+        else _BOTH_SIGNS if unbalanced
+        else frozenset({sp.pot[x] * sp.pot[y]})
+        for y in range(g.n)
+    }
+
+
+def chain_with_sign(g: SignedGraph, x: int, y: int, sign: Sign) -> Optional[Walk]:
+    """A shortest chain from x to y with the requested sign, or None.
+
+    Breadth-first search over the signed double cover from (x,+1), with its
+    vertices and edges left implicit: cover vertex 2v is (v,+1) and 2v+1 is
+    (v,-1), and from (v,s) the base edge e leads to (other end, s*sign(e)).
+    Chains are walks, so a shortest cover path is a shortest chain, with at
+    most 2n - 1 edges.
+    """
+    g.check_vertex(x)
+    g.check_vertex(y)
+    if sign not in (+1, -1):
+        raise ValueError(f"chain sign must be +1 or -1, got {sign!r}")
+    root, target = 2 * x, 2 * y + (sign == -1)
+    # per cover vertex: None (unreached) or (predecessor, base edge id)
     parent: list[Optional[tuple[int, int]]] = [None] * (2 * g.n)
-    root = _cover_index(x, +1)
     parent[root] = (-1, -1)
     queue = deque([root])
     while queue:
@@ -413,32 +366,6 @@ def _cover_bfs(g: SignedGraph, x: int) -> list[Optional[tuple[int, int]]]:
             if parent[cw] is None:
                 parent[cw] = (cv, e.id)
                 queue.append(cw)
-    return parent
-
-
-def sign_reachability(g: SignedGraph, x: int) -> dict[int, frozenset[Sign]]:
-    """For every vertex y, the set of signs realized by some chain x..y.
-
-    Computed by one traversal of the double cover from (x,+1); chains are
-    walks, so cover reachability is exact and path length is at most 2n-1.
-    """
-    parent = _cover_bfs(g, x)
-    out = {}
-    for y in range(g.n):
-        signs = set()
-        if parent[_cover_index(y, +1)] is not None:
-            signs.add(+1)
-        if parent[_cover_index(y, -1)] is not None:
-            signs.add(-1)
-        out[y] = frozenset(signs)
-    return out
-
-
-def chain_with_sign(g: SignedGraph, x: int, y: int, sign: Sign) -> Optional[Walk]:
-    """A shortest chain from x to y with the requested sign, or None."""
-    g.check_vertex(y)
-    parent = _cover_bfs(g, x)
-    target = _cover_index(y, sign)
     if parent[target] is None:
         return None
     steps = []

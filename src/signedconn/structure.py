@@ -9,7 +9,7 @@ from enum import Enum
 from typing import Optional
 
 from .balance import balancing_vertices
-from .core import SignedGraph, Walk, _kept, _Spine, cut_vertices
+from .core import SignedGraph, Walk, _kept, _Spine
 from .errors import NotABlock
 
 
@@ -42,13 +42,14 @@ class Core:
 class BlockDecomposition:
     blocks: tuple[Block, ...]
     articulation_vertices: frozenset[int]
+    cut_vertices: frozenset[int]  # those whose deletion disconnects their component
     cores: tuple[Core, ...]
     bridges: frozenset[int]  # the edges of the two-vertex blocks with one edge
 
 
 def block_decomposition(g: SignedGraph) -> BlockDecomposition:
-    """Blocks, articulation vertices and the core of every unbalanced
-    component.  Computed once per graph object and kept on it."""
+    """Blocks, articulation and cut vertices, bridges and the core of every
+    unbalanced component.  Computed once per graph object and kept on it."""
     return _kept(g, "_block_decomposition", _block_decomposition)
 
 
@@ -57,10 +58,13 @@ def _block_decomposition(g: SignedGraph) -> BlockDecomposition:
 
     The tree edge into c opens a new block at its parent h (the block's head)
     when no non-tree edge leaves the subtree of c above h; otherwise c joins
-    the block of its parent.  A non-tree edge closes a cycle with the tree
-    edge into its descendant end, so it joins that block.  The tree path
-    between two vertices of a block stays in the block, so a block is
-    unbalanced iff a frustrated edge's descendant end falls in it.
+    the block of its parent.  A block's head is a cut vertex unless it is a
+    root heading one block only: a root heads one block per child, and only
+    its first child directly follows it in preorder.  A non-tree edge closes
+    a cycle with the tree edge into its descendant end, so it joins that
+    block.  The tree path between two vertices of a block stays in the
+    block, so a block is unbalanced iff a frustrated edge's descendant end
+    falls in it.
 
     A balanced block is inner iff at least two of its sides in the block-cut
     tree hold a frustrated edge: the side above its head, and below each
@@ -80,6 +84,7 @@ def _block_decomposition(g: SignedGraph) -> BlockDecomposition:
     below = sp.subtree_sums(below)
 
     block_of = [-1] * g.n
+    cut: set[int] = set()
     opened_at: list[int] = []
     edges: list[list[int]] = []
     verts: list[list[int]] = []
@@ -88,6 +93,8 @@ def _block_decomposition(g: SignedGraph) -> BlockDecomposition:
         if p < 0:
             continue
         if sp.low[c] >= sp.disc[p]:
+            if sp.parent[p] >= 0 or sp.disc[c] > sp.disc[p] + 1:
+                cut.add(p)
             block_of[c] = len(opened_at)
             opened_at.append(c)
             edges.append([])
@@ -128,7 +135,8 @@ def _block_decomposition(g: SignedGraph) -> BlockDecomposition:
 
     # a loop is a block of its own, so its vertex lies in a second block as
     # soon as it has another incident edge
-    articulation = cut_vertices(g) | {
+    cut_vertices = frozenset(cut)
+    articulation = cut_vertices | {
         e.u for e in g.edges if e.u == e.v and len(g.adjacency[e.u]) >= 2
     }
 
@@ -151,7 +159,7 @@ def _block_decomposition(g: SignedGraph) -> BlockDecomposition:
         cores.append(Core(i, frozenset(core_edges), necklace))
 
     bridges = frozenset(es[0] for es in edges if len(es) == 1)
-    return BlockDecomposition(blocks, articulation, tuple(cores), bridges)
+    return BlockDecomposition(blocks, articulation, cut_vertices, tuple(cores), bridges)
 
 
 def _necklace_constituents(

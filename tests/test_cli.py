@@ -197,7 +197,6 @@ def test_report_computes_each_kept_field_once(name, monkeypatch):
         (matroid, "_frame_components"),
         (matroid, "_lift_components"),
         (core, "_components"),
-        (core, "_cut_vertices"),
     ):
         compute = getattr(module, attr)
 
@@ -208,7 +207,7 @@ def test_report_computes_each_kept_field_once(name, monkeypatch):
         monkeypatch.setattr(module, attr, counting)
     build_report(g)
     assert sorted(attr for attr, _ in calls) == [
-        "_balancing_edges", "_block_decomposition", "_components", "_cut_vertices",
+        "_balancing_edges", "_block_decomposition", "_components",
         "_frame_components", "_lift_components",
     ]
     assert all(graph is g for _, graph in calls)

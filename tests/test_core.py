@@ -1,5 +1,5 @@
-"""Graph primitives: the spine, walks, switching, the double cover, sign
-reachability."""
+"""Graph primitives: the spine, walks, switching, sign reachability off the
+spine, and chains of a given sign from a walk over the signed double cover."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +11,6 @@ from signedconn import (
     Walk,
     chain_with_sign,
     connected_components,
-    double_cover,
     sign_reachability,
     switch,
     walk_sign,
@@ -86,42 +85,6 @@ class TestSwitch:
                 assert walk_sign(h, walk) == -1
 
 
-class TestDoubleCover:
-    def test_negative_edge_gives_crossing_path(self):
-        cover = double_cover(fixture("N2"))
-        assert len(cover.vertices) == 4
-        # (0,+)-(1,-) and (0,-)-(1,+)
-        assert set(e[:2] for e in cover.edges) == {(0, 3), (1, 2)}
-
-    def test_balanced_graph_lifts_to_two_copies(self):
-        cover = double_cover(fixture("T+"))
-        labels = cover.component_labels()
-        assert len(set(labels)) == 2
-        # the two fibers never mix
-        plus = {labels[2 * v] for v in range(3)}
-        minus = {labels[2 * v + 1] for v in range(3)}
-        assert plus.isdisjoint(minus)
-
-    def test_unbalanced_triangle_lifts_to_hexagon(self):
-        cover = double_cover(fixture("T-"))
-        labels = cover.component_labels()
-        assert len(set(labels)) == 1
-        degree = [0] * 6
-        for cu, cv, _ in cover.edges:
-            degree[cu] += 1
-            degree[cv] += 1
-        assert degree == [2] * 6
-
-    @given(graphs())
-    def test_fiber_swap_is_an_automorphism(self, g):
-        cover = double_cover(g)
-        edge_set = {frozenset({cu, cv}) for cu, cv, _ in cover.edges}
-        swapped = {
-            frozenset({cu ^ 1, cv ^ 1}) for cu, cv, _ in cover.edges
-        }
-        assert edge_set == swapped
-
-
 class TestSignReachability:
     def test_unbalanced_triangle_reaches_both_signs(self):
         reach = sign_reachability(fixture("T-"), 0)
@@ -135,6 +98,15 @@ class TestSignReachability:
         reach = sign_reachability(fixture("N2"), 0)
         assert reach[0] == frozenset({+1})
         assert reach[1] == frozenset({-1})
+
+    @pytest.mark.parametrize("sign", [0, 2, "+", "-", None])
+    def test_chain_sign_must_be_plus_or_minus_one(self, sign):
+        with pytest.raises(ValueError):
+            chain_with_sign(fixture("N2"), 0, 1, sign)
+
+    def test_chain_to_an_out_of_range_vertex(self):
+        with pytest.raises(VertexOutOfRange):
+            chain_with_sign(fixture("N2"), 0, 2, +1)
 
     @given(graphs(4, 5))
     def test_chains_match_reachability(self, g):

@@ -14,10 +14,12 @@ import pytest
 
 from signedconn import (
     SignedGraph,
+    VertexOutOfRange,
     balancing_edges,
     balancing_vertices,
     block_decomposition,
     classify_circuit,
+    connected_components,
     contains_theta,
     detect_necklace,
     frame_components,
@@ -32,6 +34,7 @@ from signedconn import (
     lift_rank,
     sign_articulation_vertices,
     sign_isthmi,
+    sign_reachability,
 )
 from signedconn import oracle
 
@@ -90,7 +93,89 @@ def _deletion_balancing_vertices(g):
     return frozenset(out)
 
 
+def _several_components(rng):
+    """Two to four random connected parts of 1-6 vertices, half of them
+    balanced by construction, each with a loop and a parallel edge, plus up
+    to two isolated vertices; vertex labels and edge order shuffled."""
+    triples, n = [], 0
+    for _ in range(rng.randint(2, 4)):
+        k = rng.randint(1, 6)
+        pot = [rng.choice((1, -1)) for _ in range(k)]
+        balanced = rng.random() < 0.5
+        pairs = [(rng.randrange(v), v) for v in range(1, k)]
+        pairs += [(rng.randrange(k), rng.randrange(k)) for _ in range(rng.randint(0, k))]
+        loop = rng.randrange(k)
+        pairs.append((loop, loop))
+        pairs.append(rng.choice(pairs))
+        for u, v in pairs:
+            s = pot[u] * pot[v] if balanced else rng.choice((1, -1))
+            triples.append((n + u, n + v, s))
+        n += k
+    n += rng.randint(0, 2)
+    label = list(range(n))
+    rng.shuffle(label)
+    triples = [(label[u], label[v], s) for u, v, s in triples]
+    rng.shuffle(triples)
+    return SignedGraph.from_triples(n, triples)
+
+
 # -- seeded differential tests, n = 5..9 ------------------------------------
+
+
+def _check_sign_reachability(g):
+    """sign_reachability, read off the spine, against the oracle's closure
+    of walk states; returns how many signs each (x, y) reached."""
+    table = oracle.chain_sign_table(g)
+    for x in range(g.n):
+        assert sign_reachability(g, x) == dict(enumerate(table[x])), (g, x)
+    return {len(signs) for row in table for signs in row}
+
+
+def test_sign_reachability_matches_walk_closure_on_every_small_graph():
+    sizes = set()
+    for g in oracle.generate_signed_graphs(4, 4):
+        sizes |= _check_sign_reachability(g)
+    assert sizes == {0, 1, 2}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sign_reachability_matches_walk_closure(seed):
+    rng = random.Random(seed)
+    sizes = set()
+    for _ in range(15):
+        g = _several_components(rng)
+        sizes |= _check_sign_reachability(g)
+        for x in (-1, g.n):
+            with pytest.raises(VertexOutOfRange):
+                sign_reachability(g, x)
+    assert sizes == {0, 1, 2}
+
+
+def _deletion_cut_vertices(g):
+    """Vertices whose deletion leaves more components than g has."""
+    k = len(connected_components(g))
+    return frozenset(
+        v for v in range(g.n) if len(connected_components(g.delete_vertex(v))) > k
+    )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cut_vertices_match_deletion(seed):
+    rng = random.Random(seed)
+    for i in range(20):
+        if i % 2:
+            g = _several_components(rng)
+        else:
+            n = rng.randint(2, 12)
+            g = _random_connected(rng, n, rng.randint(n - 1, 2 * n))
+        dec = block_decomposition(g)
+        assert dec.cut_vertices == _deletion_cut_vertices(g), g
+        looped = {
+            e.u
+            for e in g.edges
+            if e.u == e.v and any(f.id != e.id and e.u in (f.u, f.v) for f in g.edges)
+        }
+        assert dec.articulation_vertices == dec.cut_vertices | looped, g
 
 
 @pytest.mark.parametrize("seed", SEEDS)
