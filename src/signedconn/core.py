@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections import deque
 from functools import cached_property
-from typing import Callable, Iterable, Optional, TypeVar
+from typing import Callable, Iterable, NamedTuple, Optional, TypeVar
 
 from .errors import EdgeOutOfRange, InvalidWalk, VertexOutOfRange
 
@@ -20,8 +20,10 @@ Sign = int  # +1 or -1
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
+    """One edge; a named tuple, so it is immutable, unpacks as
+    (id, u, v, sign) and equals that plain tuple."""
+
     id: int
     u: int
     v: int
@@ -49,7 +51,8 @@ class SignedGraph:
 
     @classmethod
     def from_triples(cls, n: int, triples: Iterable[tuple[int, int, Sign]]) -> "SignedGraph":
-        return cls(n, tuple(Edge(i, u, v, s) for i, (u, v, s) in enumerate(triples)))
+        make = Edge._make
+        return cls(n, tuple([make((i, u, v, s)) for i, (u, v, s) in enumerate(triples)]))
 
     @property
     def m(self) -> int:
@@ -60,9 +63,10 @@ class SignedGraph:
         """Incident edges per vertex; a loop appears once in its vertex's list."""
         adj: list[list[Edge]] = [[] for _ in range(self.n)]
         for e in self.edges:
-            adj[e.u].append(e)
-            if e.v != e.u:
-                adj[e.v].append(e)
+            u, v = e.u, e.v
+            adj[u].append(e)
+            if v != u:
+                adj[v].append(e)
         return tuple(tuple(a) for a in adj)
 
     @cached_property
@@ -165,23 +169,23 @@ class _Spine:
             stack = [(root, iter(adjacency[root]))]
             while stack:
                 v, edges = stack[-1]
-                for e in edges:
-                    w = e.v if e.u == v else e.u
+                for eid, a, b, sign in edges:
+                    w = b if a == v else a
                     if disc[w] == -1:
                         comp[w] = c
                         parent[w] = v
-                        parent_edge[w] = e.id
+                        parent_edge[w] = eid
                         disc[w] = low[w] = len(order)
                         depth[w] = depth[v] + 1
                         order.append(w)
-                        pot[w] = pot[v] * e.sign
+                        pot[w] = pot[v] * sign
                         stack.append((w, iter(adjacency[w])))
                         break
-                    if disc[w] > disc[v] or e.id == parent_edge[v]:
+                    if disc[w] > disc[v] or eid == parent_edge[v]:
                         continue  # seen from its ancestor end, or the tree edge up
-                    nontree.append((e.id, v, w))
-                    if pot[v] * pot[w] != e.sign:
-                        frustrated.append((e.id, v, w))
+                    nontree.append((eid, v, w))
+                    if pot[v] * pot[w] != sign:
+                        frustrated.append((eid, v, w))
                     if disc[w] < low[v]:
                         low[v] = disc[w]
                 else:
@@ -341,20 +345,20 @@ def sign_reachability(g: SignedGraph, x: int) -> dict[int, frozenset[Sign]]:
 
 
 def chain_with_sign(g: SignedGraph, x: int, y: int, sign: Sign) -> Optional[Walk]:
-    """A shortest chain from x to y with the requested sign, or None.
-
-    Breadth-first search over the signed double cover from (x,+1), with its
-    vertices and edges left implicit: cover vertex 2v is (v,+1) and 2v+1 is
-    (v,-1), and from (v,s) the base edge e leads to (other end, s*sign(e)).
-    Chains are walks, so a shortest cover path is a shortest chain, with at
-    most 2n - 1 edges.
-    """
+    """A shortest chain from x to y with the requested sign, or None."""
     g.check_vertex(x)
     g.check_vertex(y)
     if sign not in (+1, -1):
         raise ValueError(f"chain sign must be +1 or -1, got {sign!r}")
-    root, target = 2 * x, 2 * y + (sign == -1)
-    # per cover vertex: None (unreached) or (predecessor, base edge id)
+    return _cover_walk(g, _cover_search(g, x), x, y, sign)
+
+
+def _cover_search(g: SignedGraph, x: int) -> list[Optional[tuple[int, int]]]:
+    """Breadth-first search over the signed double cover from (x,+1), with its
+    vertices and edges left implicit: cover vertex 2v is (v,+1) and 2v+1 is
+    (v,-1), and from (v,s) the base edge e leads to (other end, s*sign(e)).
+    Per cover vertex: None (unreached) or (predecessor, base edge id)."""
+    root = 2 * x
     parent: list[Optional[tuple[int, int]]] = [None] * (2 * g.n)
     parent[root] = (-1, -1)
     queue = deque([root])
@@ -366,10 +370,19 @@ def chain_with_sign(g: SignedGraph, x: int, y: int, sign: Sign) -> Optional[Walk
             if parent[cw] is None:
                 parent[cw] = (cv, e.id)
                 queue.append(cw)
-    if parent[target] is None:
+    return parent
+
+
+def _cover_walk(
+    g: SignedGraph, parent: list[Optional[tuple[int, int]]], x: int, y: int, sign: Sign
+) -> Optional[Walk]:
+    """The chain from x to y of the given sign that the search from x found,
+    or None.  Chains are walks, so a shortest cover path is a shortest chain,
+    with at most 2n - 1 edges."""
+    cv = 2 * y + (sign == -1)
+    if parent[cv] is None:
         return None
     steps = []
-    cv = target
     while parent[cv] != (-1, -1):
         prev, eid = parent[cv]  # type: ignore[misc]
         e = g.edges[eid]

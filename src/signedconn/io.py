@@ -18,6 +18,7 @@ from .errors import GraphSyntaxError, VertexOutOfRange
 
 _HEADER = "signed-graph n="
 _MAX_N = 10**6
+_SIGNS = {"+": +1, "-": -1}
 
 
 def parse(text: str) -> SignedGraph:
@@ -25,10 +26,11 @@ def parse(text: str) -> SignedGraph:
     n = None
     triples = []
     for lineno, rawline in enumerate(text.splitlines(), start=1):
-        line = rawline.strip()
-        if not line or line.startswith("#"):
+        parts = rawline.split()
+        if not parts or parts[0][0] == "#":
             continue
         if n is None:
+            line = rawline.strip()
             if not line.startswith(_HEADER):
                 raise GraphSyntaxError(lineno, f"expected header '{_HEADER}<int>'")
             try:
@@ -40,18 +42,17 @@ def parse(text: str) -> SignedGraph:
             if n > _MAX_N:
                 raise GraphSyntaxError(lineno, f"vertex count {n} exceeds {_MAX_N}")
             continue
-        parts = line.split()
-        if len(parts) != 3 or parts[2] not in ("+", "-"):
-            raise GraphSyntaxError(lineno, f"expected '<u> <v> <+|->', got {line!r}")
+        if len(parts) != 3 or parts[2] not in _SIGNS:
+            raise GraphSyntaxError(lineno, f"expected '<u> <v> <+|->', got {rawline.strip()!r}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise GraphSyntaxError(lineno, f"bad vertex in {line!r}") from None
+            raise GraphSyntaxError(lineno, f"bad vertex in {rawline.strip()!r}") from None
         if not (0 <= u < n and 0 <= v < n):
-            err = VertexOutOfRange(f"line {lineno}: vertex out of range in {line!r}")
+            err = VertexOutOfRange(f"line {lineno}: vertex out of range in {rawline.strip()!r}")
             err.line = lineno
             raise err
-        triples.append((u, v, +1 if parts[2] == "+" else -1))
+        triples.append((u, v, _SIGNS[parts[2]]))
     if n is None:
         raise GraphSyntaxError(1, "empty file, expected header")
     return SignedGraph.from_triples(n, triples)

@@ -187,13 +187,13 @@ def frame_components(g: SignedGraph) -> ComponentPartition:
 
 def _frame_components(g: SignedGraph) -> ComponentPartition:
     dec = structure.block_decomposition(g)
-    classes: list[frozenset[int]] = []
+    classes: list[Iterable[int]] = []
     isolated: set[int] = set()
-    for b in dec.blocks:
-        if not b.edges:
-            isolated |= b.vertices
-        elif not b.inner:
-            classes.append(b.edges)
+    for es, vs, _, inner, _ in dec.rows:
+        if not es:
+            isolated.update(vs)
+        elif not inner:
+            classes.append(es)
     for core in dec.cores:
         if core.necklace is not None:
             classes.extend(core.necklace)
@@ -213,16 +213,16 @@ def lift_components(g: SignedGraph) -> ComponentPartition:
 
 def _lift_components(g: SignedGraph) -> ComponentPartition:
     dec = structure.block_decomposition(g)
-    classes: list[frozenset[int]] = []
+    classes: list[Iterable[int]] = []
     isolated: set[int] = set()
     merged: set[int] = set()
-    for b in dec.blocks:
-        if not b.edges:
-            isolated |= b.vertices
-        elif b.balanced:
-            classes.append(b.edges)
+    for es, vs, balanced, _, _ in dec.rows:
+        if not es:
+            isolated.update(vs)
+        elif balanced:
+            classes.append(es)
         else:
-            merged |= b.edges
+            merged.update(es)
     if len(dec.cores) == 1 and dec.cores[0].necklace is not None:
         classes.extend(dec.cores[0].necklace)
     elif merged:
@@ -267,9 +267,10 @@ def _coloops(g: SignedGraph, components: ComponentPartition) -> frozenset[int]:
     out = set()
     for cls in components.classes:
         if len(cls) == 1:
-            e = g.edges[next(iter(cls))]
-            if e.u != e.v or e.sign == -1:
-                out.add(e.id)
+            (eid,) = cls
+            _, u, v, sign = g.edges[eid]
+            if u != v or sign == -1:
+                out.add(eid)
     return frozenset(out)
 
 
@@ -290,14 +291,14 @@ def is_quasibalanced(
     CycleBudgetExceeded.
     """
     dec = structure.block_decomposition(g)
-    unbalanced = [b for b in dec.blocks if not b.balanced]
+    unbalanced = [es for es, _, balanced, _, _ in dec.rows if not balanced]
     if len(unbalanced) >= 2:
         return False
     if not unbalanced:
         return True
     if dec.cores[0].necklace is not None:
         return True
-    block = unbalanced[0].edges
+    block = frozenset(unbalanced[0])
     sp = g.spine
     for eid, d, a in sp.frustrated:
         if _has_partner(g, block, sp.fundamental_cycle(eid, d, a)):

@@ -9,7 +9,8 @@ from .balance import balancing_edges, balancing_vertices, component_balance
 from .core import (
     SignedGraph,
     Walk,
-    chain_with_sign,
+    _cover_search,
+    _cover_walk,
     connected_components,
     walk_sign,
 )
@@ -36,7 +37,7 @@ class ComponentPartition:
 
 
 def _sorted_classes(classes) -> tuple[frozenset[int], ...]:
-    return tuple(sorted((frozenset(c) for c in classes), key=lambda c: min(c)))
+    return tuple(sorted(map(frozenset, classes), key=min))
 
 
 def graph_components(g: SignedGraph) -> ComponentPartition:
@@ -71,11 +72,13 @@ class WitnessPair:
 
 
 def witness_chains(g: SignedGraph, x: int, y: int) -> WitnessPair:
-    """Explicit chains of both signs joining x and y (length at most 2n)."""
+    """Explicit chains of both signs joining x and y (length at most 2n), the
+    walks `chain_with_sign` gives, read off one search of the cover."""
     g.check_vertex(x)
     g.check_vertex(y)
-    pos = chain_with_sign(g, x, y, +1)
-    neg = chain_with_sign(g, x, y, -1)
+    parent = _cover_search(g, x)
+    pos = _cover_walk(g, parent, x, y, +1)
+    neg = _cover_walk(g, parent, x, y, -1)
     if pos is None or neg is None:
         raise NotSignConnected(f"vertices {x} and {y} are not joined by both signs")
     assert walk_sign(g, pos) == +1 and walk_sign(g, neg) == -1

@@ -4,9 +4,10 @@ cactus recognition, theta detection, and hypercyclic-chain classification."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from functools import cached_property
+from typing import Iterable, Optional
 
 from .balance import balancing_vertices
 from .core import SignedGraph, Walk, _kept, _Spine
@@ -40,11 +41,27 @@ class Core:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    blocks: tuple[Block, ...]
+    """The blocks as plain rows (edge list, vertex list, balanced, inner,
+    component), in the order the pass finds them; `blocks` makes them
+    `Block`s.  The rows' lists are the pass's own: read them, do not change
+    them."""
+
+    rows: tuple[tuple[list[int], list[int], bool, bool, int], ...] = field(hash=False)
     articulation_vertices: frozenset[int]
     cut_vertices: frozenset[int]  # those whose deletion disconnects their component
     cores: tuple[Core, ...]
     bridges: frozenset[int]  # the edges of the two-vertex blocks with one edge
+
+    @cached_property
+    def blocks(self) -> tuple[Block, ...]:
+        """The blocks, ordered by smallest vertex, then smallest edge id;
+        built from the rows on first access."""
+        # two blocks share no edge, so this is the order of (min vertex, edges)
+        rows = sorted(self.rows, key=lambda r: (min(r[1]), min(r[0], default=-1)))
+        return tuple(
+            Block(frozenset(es), frozenset(vs), bal, inner, comp)
+            for es, vs, bal, inner, comp in rows
+        )
 
 
 def block_decomposition(g: SignedGraph) -> BlockDecomposition:
@@ -62,9 +79,10 @@ def _block_decomposition(g: SignedGraph) -> BlockDecomposition:
     root heading one block only: a root heads one block per child, and only
     its first child directly follows it in preorder.  A non-tree edge closes
     a cycle with the tree edge into its descendant end, so it joins that
-    block.  The tree path between two vertices of a block stays in the
-    block, so a block is unbalanced iff a frustrated edge's descendant end
-    falls in it.
+    block, and a loop, a non-tree edge with both ends at one vertex, is a
+    block of its own.  The tree path between two vertices of a block stays
+    in the block, so a block is unbalanced iff a frustrated edge's
+    descendant end falls in it.
 
     A balanced block is inner iff at least two of its sides in the block-cut
     tree hold a frustrated edge: the side above its head, and below each
@@ -105,9 +123,18 @@ def _block_decomposition(g: SignedGraph) -> BlockDecomposition:
         edges[block_of[c]].append(sp.parent_edge[c])
         verts[block_of[c]].append(c)
     unbalanced = [False] * len(opened_at)
+    rows = []
+    articulation = set(cut)
     for eid, d, a in sp.nontree:
         if d != a:
             edges[block_of[d]].append(eid)
+            continue
+        # a loop is a block of its own, so its vertex lies in a second block
+        # as soon as it has another incident edge
+        negative = g.edges[eid].sign == -1
+        rows.append(([eid], [d], not negative, negative, sp.comp[d]))
+        if len(g.adjacency[d]) >= 2:
+            articulation.add(d)
     for _, d, a in sp.frustrated:
         if d != a:
             unbalanced[block_of[d]] = True
@@ -116,59 +143,43 @@ def _block_decomposition(g: SignedGraph) -> BlockDecomposition:
         if block_of[v] >= 0 and hang[v]:
             sides[block_of[v]] += 1
 
-    raw = [
+    rows += [
         (edges[i], verts[i], not unbalanced[i], unbalanced[i] or sides[i] >= 2, sp.comp[c])
         for i, c in enumerate(opened_at)
     ]
-    for e in g.edges:
-        if e.u == e.v:
-            raw.append(([e.id], [e.u], e.sign == 1, e.sign == -1, sp.comp[e.u]))
     for v in range(g.n):
         if not g.adjacency[v]:
-            raw.append(([], [v], True, False, sp.comp[v]))
-    # two blocks share no edge, so this is the order of (min vertex, edges)
-    raw.sort(key=lambda r: (min(r[1]), min(r[0], default=-1)))
-    blocks = tuple(
-        Block(frozenset(es), frozenset(vs), bal, inner, comp)
-        for es, vs, bal, inner, comp in raw
-    )
+            rows.append(([], [v], True, False, sp.comp[v]))
 
-    # a loop is a block of its own, so its vertex lies in a second block as
-    # soon as it has another incident edge
-    cut_vertices = frozenset(cut)
-    articulation = cut_vertices | {
-        e.u for e in g.edges if e.u == e.v and len(g.adjacency[e.u]) >= 2
-    }
-
-    inner_by_comp: list[list[Block]] = [[] for _ in sp.comp_frustrated]
-    for b in blocks:
-        if b.inner:
-            inner_by_comp[b.component].append(b)
+    inner_by_comp: list[list[tuple]] = [[] for _ in k]
+    for row in rows:
+        if row[3]:
+            inner_by_comp[row[4]].append(row)
     cores = []
     for i, inner in enumerate(inner_by_comp):
-        if not sp.comp_frustrated[i]:
+        if not k[i]:
             continue
-        core_edges: set[int] = set()
-        for b in inner:
-            core_edges |= b.edges
+        core_edges = frozenset([eid for row in inner for eid in row[0]])
         necklace = None
         if len(inner) == 1:
             # the lone unbalanced block of its component: every cycle lies in
             # one block, so the component's balancing vertices are the block's
-            necklace = _necklace_constituents(g, inner[0], balancing_vertices(g))
-        cores.append(Core(i, frozenset(core_edges), necklace))
+            necklace = _necklace_constituents(g, core_edges, inner[0][1], balancing_vertices(g))
+        cores.append(Core(i, core_edges, necklace))
 
     bridges = frozenset(es[0] for es in edges if len(es) == 1)
-    return BlockDecomposition(blocks, articulation, cut_vertices, tuple(cores), bridges)
+    return BlockDecomposition(
+        tuple(rows), frozenset(articulation), frozenset(cut), tuple(cores), bridges
+    )
 
 
 def _necklace_constituents(
-    g: SignedGraph, block: Block, S: frozenset[int]
+    g: SignedGraph, block_edges: frozenset[int], block_vertices: Iterable[int], S: frozenset[int]
 ) -> Optional[tuple[frozenset[int], ...]]:
-    """Finest decomposition of an unbalanced block into >= 2 balanced blocks
-    glued in a ring, or None if the block is not such a necklace.  S holds
-    the balancing vertices of the block itself (vertices outside the block
-    are ignored).
+    """Finest decomposition of an unbalanced block, given by its edges and
+    vertices, into >= 2 balanced blocks glued in a ring, or None if the block
+    is not such a necklace.  S holds the balancing vertices of the block
+    itself (vertices outside the block are ignored).
 
     Zaslavsky's necklace picture (Biased graphs II, 1991): every negative
     cycle passes through all of S, so with |S| >= 2 each S-bridge (a
@@ -176,33 +187,34 @@ def _necklace_constituents(
     at two vertices a, b of S and is balanced with them: its a-b paths share
     one sign.  The bridges with equal {a, b} and sign form one constituent.
     """
-    S = S & block.vertices
+    S = S.intersection(block_vertices)
     if len(S) < 2:
         return None
     groups: dict[tuple, set[int]] = {}
-    for eid in block.edges:
-        e = g.edges[eid]
-        if e.u in S and e.v in S:
-            groups.setdefault((min(e.u, e.v), max(e.u, e.v), e.sign), set()).add(eid)
+    for eid in block_edges:
+        _, u, v, sign = g.edges[eid]
+        if u in S and v in S:
+            groups.setdefault((min(u, v), max(u, v), sign), set()).add(eid)
+    adjacency = g.adjacency
     pot: dict[int, int] = {}  # sign of a path from the bridge's root
-    for root in block.vertices - S:
-        if root in pot:
+    for root in block_vertices:
+        if root in S or root in pot:
             continue
         pot[root] = 1
-        edges: set[int] = set()
+        edges: list[int] = []  # an edge between two of its vertices comes twice
         ends: dict[int, int] = {}
         stack = [root]
         while stack:
             v = stack.pop()
-            for e in g.adjacency[v]:
-                if e.id not in block.edges:
+            for eid, p, q, sign in adjacency[v]:
+                if eid not in block_edges:
                     continue
-                w = e.other(v)
-                edges.add(e.id)
+                w = q if p == v else p
+                edges.append(eid)
                 if w in S:
-                    ends[w] = pot[v] * e.sign
+                    ends[w] = pot[v] * sign
                 elif w not in pot:
-                    pot[w] = pot[v] * e.sign
+                    pot[w] = pot[v] * sign
                     stack.append(w)
         a, b = sorted(ends)
         groups.setdefault((a, b, ends[a] * ends[b]), set()).update(edges)
@@ -217,8 +229,10 @@ def _ring_order(groups: dict[tuple, set[int]]) -> tuple[frozenset[int], ...]:
     constituents share only vertices of S, and those are the ends a, b of
     their keys (a, b, sign), so they meet iff their ends do."""
     constituents = [frozenset(c) for c in groups.values()]
+    low = [min(c) for c in constituents]
+    by_low = sorted(range(len(constituents)), key=low.__getitem__)
     if len(constituents) == 2:
-        return tuple(sorted(constituents, key=min))
+        return tuple(constituents[i] for i in by_low)
     at: dict[int, set[int]] = {}
     for i, (a, b, _) in enumerate(groups):
         at.setdefault(a, set()).add(i)
@@ -226,9 +240,9 @@ def _ring_order(groups: dict[tuple, set[int]]) -> tuple[frozenset[int], ...]:
     nbrs = [sorted((at[a] | at[b]) - {i}) for i, (a, b, _) in enumerate(groups)]
     k = len(constituents)
     if any(len(nb) != 2 for nb in nbrs):
-        return tuple(sorted(constituents, key=min))
-    start = min(range(k), key=lambda i: min(constituents[i]))
-    nxt = min(nbrs[start], key=lambda i: min(constituents[i]))
+        return tuple(constituents[i] for i in by_low)
+    start = by_low[0]
+    nxt = min(nbrs[start], key=low.__getitem__)
     order = [start, nxt]
     while len(order) < k:
         here = order[-1]
@@ -250,26 +264,27 @@ def detect_necklace(
     # the block may sit beside other unbalanced blocks, which would leave its
     # component without balancing vertices: take them from the block alone
     S = balancing_vertices(g.subgraph_of_edges(match[0].edges))
-    return _necklace_constituents(g, match[0], S)
+    return _necklace_constituents(g, match[0].edges, match[0].vertices, S)
 
 
 def is_cactus_forest(g: SignedGraph) -> bool:
     """True iff every block is a cycle (loops count), a bridge, or a vertex."""
-    dec = block_decomposition(g)
-    return all(len(b.edges) <= 1 or b.is_cycle for b in dec.blocks)
+    for es, vs, _, _, _ in block_decomposition(g).rows:
+        if len(es) > 1 and len(es) != len(vs):
+            return False
+    return True
 
 
 def is_contrabalanced(g: SignedGraph) -> bool:
     """True iff the graph has no positive cycle: it must be a cactus forest
     whose cycle blocks are all negative."""
-    dec = block_decomposition(g)
-    for b in dec.blocks:
-        if not b.is_cycle:
-            if len(b.edges) > 1:
+    for es, vs, _, _, _ in block_decomposition(g).rows:
+        if len(es) != len(vs) or not es:
+            if len(es) > 1:
                 return False
             continue
         sign = 1
-        for eid in b.edges:
+        for eid in es:
             sign *= g.edges[eid].sign
         if sign == +1:
             return False

@@ -1,10 +1,12 @@
-"""Graph primitives: the spine, walks, switching, sign reachability off the
+"""Graph primitives: edges, the spine, walks, switching, sign reachability off the
 spine, and chains of a given sign from a walk over the signed double cover."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from signedconn import (
+    Edge,
+    EdgeOutOfRange,
     InvalidWalk,
     SignedGraph,
     VertexOutOfRange,
@@ -18,6 +20,47 @@ from signedconn import (
 from signedconn.io import fixture
 
 from conftest import graphs
+
+
+class TestEdge:
+    def test_assigning_an_attribute_raises(self):
+        e = Edge(0, 0, 1, -1)
+        for attr in ("id", "u", "v", "sign", "weight"):
+            with pytest.raises(AttributeError):
+                setattr(e, attr, 1)
+        assert e == Edge(0, 0, 1, -1)
+
+    def test_other_equality_and_hashing(self):
+        e = Edge(3, 1, 2, +1)
+        assert (e.other(1), e.other(2)) == (2, 1)
+        assert Edge(4, 2, 2, -1).other(2) == 2
+        same = Edge(3, 1, 2, +1)
+        assert e == same and e is not same and hash(e) == hash(same)
+        assert len({e, same, Edge(3, 1, 2, -1)}) == 2
+        # a named tuple: it equals and unpacks as the plain (id, u, v, sign)
+        assert e == (3, 1, 2, +1)
+        eid, u, v, sign = e
+        assert (eid, u, v, sign) == (3, 1, 2, +1)
+
+    def test_from_triples_numbers_edges_densely(self):
+        g = SignedGraph.from_triples(3, [(0, 1, 1), (2, 2, -1)])
+        assert g.edges == (Edge(0, 0, 1, 1), Edge(1, 2, 2, -1))
+        assert all(type(e) is Edge for e in g.edges)
+
+    @pytest.mark.parametrize(
+        "edges, error",
+        [
+            ((Edge(1, 0, 1, 1),), EdgeOutOfRange),
+            ((Edge(0, 0, 1, 1), Edge(0, 1, 2, 1)), EdgeOutOfRange),
+            ((Edge(0, 0, 3, 1),), VertexOutOfRange),
+            ((Edge(0, -1, 1, 1),), VertexOutOfRange),
+            ((Edge(0, 0, 1, 0),), ValueError),
+            ((Edge(0, 0, 1, 2),), ValueError),
+        ],
+    )
+    def test_graph_rejects_bad_edges(self, edges, error):
+        with pytest.raises(error):
+            SignedGraph(3, edges)
 
 
 class TestWalkSign:

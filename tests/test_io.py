@@ -53,6 +53,31 @@ class TestParse:
         assert "adjacency" not in vars(g)  # parsing builds no adjacency
 
 
+    def test_blank_prefixed_comments_and_tab_separated_lines(self):
+        g = parse("  # a comment\n\t# another\nsigned-graph n=3\n   \n0\t1\t+\n 1  2\t+ \n\t2 0 -\n")
+        assert g == fixture("T-")
+
+    @pytest.mark.parametrize(
+        "text, error, line, message",
+        [
+            ("  # c\n0 1 +\n", GraphSyntaxError, 2, "expected header 'signed-graph n=<int>'"),
+            ("signed-graph n=x\n", GraphSyntaxError, 1, "bad vertex count in 'signed-graph n=x'"),
+            ("signed-graph n=-1\n", GraphSyntaxError, 1, "vertex count must be nonnegative"),
+            ("  # c\nsigned-graph n=2\n\t0\t1\t*\n", GraphSyntaxError, 3,
+             "expected '<u> <v> <+|->', got '0\\t1\\t*'"),
+            ("signed-graph n=2\n0 1 +-\n", GraphSyntaxError, 2, "expected '<u> <v> <+|->', got '0 1 +-'"),
+            ("signed-graph n=2\n0 1 + +\n", GraphSyntaxError, 2, "expected '<u> <v> <+|->', got '0 1 + +'"),
+            ("signed-graph n=2\n  # c\n a 1 -\n", GraphSyntaxError, 3, "bad vertex in 'a 1 -'"),
+            ("signed-graph n=2\n\t0\t2\t-\n", VertexOutOfRange, 2, "vertex out of range in '0\\t2\\t-'"),
+        ],
+    )
+    def test_errors_keep_their_messages_and_line_numbers(self, text, error, line, message):
+        with pytest.raises(error) as exc:
+            parse(text)
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: {message}"
+
+
 class TestRoundTrip:
     def test_emit_parse_identity(self):
         for name in FIXTURE_NAMES:

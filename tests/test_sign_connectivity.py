@@ -8,6 +8,8 @@ from signedconn import (
     NotSignConnected,
     PreconditionError,
     SignedGraph,
+    chain_with_sign,
+    is_connected,
     is_parity_connected,
     is_sign_block,
     is_sign_connected,
@@ -19,6 +21,7 @@ from signedconn import (
     walk_sign,
     witness_chains,
 )
+from signedconn import oracle, sign_connectivity
 from signedconn.io import fixture
 
 from conftest import graphs
@@ -80,6 +83,44 @@ class TestWitnessChains:
         pair = witness_chains(g, 0, 0)
         assert len(pair.positive) == 0
         assert pair.negative.edge_ids() == [0]
+
+    def test_equal_to_the_two_chains_of_a_sign(self):
+        """Both walks come from one search; they are the walks that
+        `chain_with_sign` finds for each sign on its own."""
+        pairs = 0
+        for g in oracle.generate_signed_graphs(4, 4):
+            if not is_connected(g):
+                continue
+            for x in range(g.n):
+                for y in range(g.n):
+                    pos = chain_with_sign(g, x, y, +1)
+                    neg = chain_with_sign(g, x, y, -1)
+                    if pos is None or neg is None:
+                        with pytest.raises(NotSignConnected):
+                            witness_chains(g, x, y)
+                        continue
+                    assert witness_chains(g, x, y) == sign_connectivity.WitnessPair(pos, neg)
+                    pairs += 1
+        assert pairs > 10_000
+
+    def test_one_search_per_call(self, monkeypatch):
+        searches = []
+        search = sign_connectivity._cover_search
+
+        def counting(g, x):
+            searches.append(x)
+            return search(g, x)
+
+        monkeypatch.setattr(sign_connectivity, "_cover_search", counting)
+        g = fixture("TIGHT")
+        for x in range(g.n):
+            for y in range(g.n):
+                witness_chains(g, x, y)
+                assert searches == [x]
+                searches.clear()
+        with pytest.raises(NotSignConnected):
+            witness_chains(fixture("T+"), 0, 1)
+        assert searches == [0]
 
 
 class TestSignIsthmi:

@@ -22,8 +22,9 @@ from signedconn import (
     oracle,
     walk_sign,
 )
-from signedconn import _cycles
-from signedconn.io import fixture
+from signedconn import _cycles, structure
+from signedconn.cli import build_report
+from signedconn.io import fixture, fixtures
 
 from conftest import complete_with_two_negative_edges, graphs
 
@@ -141,6 +142,98 @@ def test_inner_blocks_match_block_cut_tree_pruning():
         seen["balanced inner"] += any(b.inner and b.balanced for b in dec.blocks)
         seen["two unbalanced components"] += len(dec.cores) >= 2
     assert min(seen.values()) >= 100, seen
+
+
+def _eager_blocks(g):
+    """The blocks as `block_decomposition` used to build them, eagerly: the
+    rows of the blocks its pass opens at tree edges, one row per loop read
+    off g.edges and one per isolated vertex read off the adjacency, sorted
+    by (smallest vertex, smallest edge), then one `Block` per row."""
+    sp = g.spine
+    raw = [row for row in block_decomposition(g).rows if len(row[1]) >= 2]
+    for e in g.edges:
+        if e.u == e.v:
+            raw.append(([e.id], [e.u], e.sign == 1, e.sign == -1, sp.comp[e.u]))
+    for v in range(g.n):
+        if not g.adjacency[v]:
+            raw.append(([], [v], True, False, sp.comp[v]))
+    raw.sort(key=lambda r: (min(r[1]), min(r[0], default=-1)))
+    return tuple(
+        structure.Block(frozenset(es), frozenset(vs), bal, inner, comp)
+        for es, vs, bal, inner, comp in raw
+    )
+
+
+def test_blocks_built_on_demand_match_the_eager_construction():
+    for g in chain(oracle.generate_signed_graphs(4, 4), _glued_multigraphs(3000, 8)):
+        dec = block_decomposition(g)
+        assert "blocks" not in vars(dec)
+        assert dec.blocks == _eager_blocks(g)
+        assert dec.blocks is dec.blocks
+        assert len(dec.rows) == len(dec.blocks)
+
+
+def _tree_with_negative_triangle(n, seed):
+    rng = random.Random(seed)
+    triples = [(i, rng.randrange(i), 1) for i in range(1, n)]
+    c = next(v for v in range(n - 1, 0, -1) if triples[v - 1][1] > 0)
+    b = triples[c - 1][1]
+    return SignedGraph.from_triples(n, triples + [(triples[b - 1][1], c, -1)])
+
+
+def _forest_of_unbalanced_parts(parts, size, seed):
+    rng = random.Random(seed)
+    triples = []
+    for j in range(parts):
+        off = j * size
+        triples += [(off + i, off + rng.randrange(i), 1) for i in range(1, size)]
+        triples += [(off, off + size - 1, -1), (off + 1, off + size - 2, 1)]
+    return SignedGraph.from_triples(parts * size, triples)
+
+
+def _ring_of_beads(beads, half):
+    """Bead i: two arcs of `half` edges from vertex i to vertex i + 1 (mod
+    beads).  Both arcs of bead 0 start with a negative edge, so every bead
+    is balanced and every cycle around the ring is negative."""
+    triples, nxt = [], beads
+    for i in range(beads):
+        for _ in range(2):
+            path = [i] + list(range(nxt, nxt + half - 1)) + [(i + 1) % beads]
+            nxt += half - 1
+            triples += [(path[j], path[j + 1], -1 if i == j == 0 else 1) for j in range(half)]
+    return SignedGraph.from_triples(nxt, triples)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        *fixtures().values(),
+        _tree_with_negative_triangle(60, 1),
+        _forest_of_unbalanced_parts(8, 7, 2),
+        _ring_of_beads(6, 4),
+        complete_with_two_negative_edges(8),
+    ],
+)
+def test_report_builds_no_block(g, monkeypatch):
+    """The report reads the decomposition's rows: no `Block` is made."""
+
+    def no_block(*args, **kwargs):
+        raise AssertionError("a Block was built")
+
+    monkeypatch.setattr(structure, "Block", no_block)
+    report = build_report(g)
+    assert report["n"] == g.n
+    assert "blocks" not in vars(block_decomposition(g))
+
+
+def test_report_inputs_reach_their_cases():
+    """The inputs above reach what they are named for."""
+    assert len(build_report(_tree_with_negative_triangle(60, 1))["balancing_edges"]) == 3
+    forest = build_report(_forest_of_unbalanced_parts(8, 7, 2))
+    assert len(forest["sign_components"]) == 8 and not forest["quasibalanced"]
+    ring = _ring_of_beads(6, 4)
+    assert len(block_decomposition(ring).cores[0].necklace) == 6
+    assert build_report(ring)["quasibalanced"]
 
 
 class TestDetectNecklace:
