@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -263,7 +264,14 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader left early, as `| head` does: end quietly, with stdout
+        # on devnull so that the interpreter's last flush does not raise too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1  # the status Python itself exits with on EPIPE
     except (SignedGraphError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -185,21 +185,30 @@ def frame_components(g: SignedGraph) -> ComponentPartition:
     return _kept(g, "_frame_components", _frame_components)
 
 
-def _frame_components(g: SignedGraph) -> ComponentPartition:
-    dec = structure.block_decomposition(g)
-    classes: list[Iterable[int]] = []
+def _balanced_blocks(g: SignedGraph) -> tuple[list[tuple[frozenset[int], bool]], frozenset[int]]:
+    """(edge set, inner) per balanced block with an edge, and the isolated
+    vertices: what both matroids' components read off the blocks, kept on g
+    (see `_kept`) so that each set is built once."""
+    blocks: list[tuple[frozenset[int], bool]] = []
     isolated: set[int] = set()
-    for es, vs, _, inner, _ in dec.rows:
+    for es, vs, balanced, inner, _ in structure.block_decomposition(g).rows:
         if not es:
             isolated.update(vs)
-        elif not inner:
-            classes.append(es)
-    for core in dec.cores:
+        elif balanced:
+            blocks.append((frozenset(es), inner))
+    return blocks, frozenset(isolated)
+
+
+def _frame_components(g: SignedGraph) -> ComponentPartition:
+    blocks, isolated = _kept(g, "_balanced_blocks", _balanced_blocks)
+    # an unbalanced block is inner, so these are all the blocks outside the cores
+    classes: list[frozenset[int]] = [es for es, inner in blocks if not inner]
+    for core in structure.block_decomposition(g).cores:
         if core.necklace is not None:
             classes.extend(core.necklace)
         else:
             classes.append(core.edges)
-    return ComponentPartition("frame", _sorted_classes(classes), frozenset(isolated))
+    return ComponentPartition("frame", _sorted_classes(classes), isolated)
 
 
 def lift_components(g: SignedGraph) -> ComponentPartition:
@@ -213,21 +222,15 @@ def lift_components(g: SignedGraph) -> ComponentPartition:
 
 def _lift_components(g: SignedGraph) -> ComponentPartition:
     dec = structure.block_decomposition(g)
-    classes: list[Iterable[int]] = []
-    isolated: set[int] = set()
-    merged: set[int] = set()
-    for es, vs, balanced, _, _ in dec.rows:
-        if not es:
-            isolated.update(vs)
-        elif balanced:
-            classes.append(es)
-        else:
-            merged.update(es)
+    blocks, isolated = _kept(g, "_balanced_blocks", _balanced_blocks)
+    classes = [es for es, _ in blocks]
     if len(dec.cores) == 1 and dec.cores[0].necklace is not None:
         classes.extend(dec.cores[0].necklace)
-    elif merged:
-        classes.append(frozenset(merged))
-    return ComponentPartition("lift", _sorted_classes(classes), frozenset(isolated))
+    else:
+        merged = [eid for es, _, balanced, _, _ in dec.rows if not balanced for eid in es]
+        if merged:
+            classes.append(frozenset(merged))
+    return ComponentPartition("lift", _sorted_classes(classes), isolated)
 
 
 def is_frame_connected(g: SignedGraph) -> bool:

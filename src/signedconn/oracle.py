@@ -540,8 +540,11 @@ def brute_sign_articulation_vertices(g: SignedGraph) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 # exhaustive generation
 
-def generate_signed_graphs(max_n: int, max_m: int) -> Iterator[SignedGraph]:
-    """Every signed multigraph with 1 <= n <= max_n and m <= max_m.
+def signed_graph_triples(
+    max_n: int, max_m: int
+) -> Iterator[tuple[int, tuple[tuple[int, int, Sign], ...]]]:
+    """(n, edge triples (u, v, sign)) for every signed multigraph with
+    1 <= n <= max_n and m <= max_m.
 
     Edge slots are vertex pairs (including loops) with multiplicity at most
     two per slot; every signing of every slot multiset is produced.
@@ -554,6 +557,10 @@ def generate_signed_graphs(max_n: int, max_m: int) -> Iterator[SignedGraph]:
                 if any(combo.count(s) > 2 for s in set(combo)):
                     continue
                 for signs in product((+1, -1), repeat=m):
-                    yield SignedGraph.from_triples(
-                        n, [(u, v, s) for (u, v), s in zip(combo, signs)]
-                    )
+                    yield n, tuple([(u, v, s) for (u, v), s in zip(combo, signs)])
+
+
+def generate_signed_graphs(max_n: int, max_m: int) -> Iterator[SignedGraph]:
+    """The graphs of `signed_graph_triples`, in its order."""
+    for n, triples in signed_graph_triples(max_n, max_m):
+        yield SignedGraph.from_triples(n, triples)

@@ -580,30 +580,37 @@ def check_graph(g: SignedGraph, suites: Optional[Iterable[int]] = None) -> list[
 BLOCK = 5000  # graphs checked between two `progress` reports
 
 
-def _flat(g: SignedGraph) -> tuple[int, ...]:
-    """g as (n, u, v, sign, u, v, sign, ...): a quarter of its size, and
-    cheap to send to a worker."""
-    return (g.n, *chain.from_iterable((e.u, e.v, e.sign) for e in g.edges))
+RECORD_MAX = 255  # the largest value one byte of a packed record holds
 
 
-def _graph(flat: tuple[int, ...]) -> SignedGraph:
-    return SignedGraph.from_triples(flat[0], zip(flat[1::3], flat[2::3], flat[3::3]))
+def _pack(n: int, triples: Iterable[tuple[int, int, int]]) -> bytes:
+    """A graph as one byte per value: n, then u, v and sign + 1 per edge.
+    Valid for n <= RECORD_MAX; about a third of the size of the same
+    values in a tuple, and cheap to send to a worker."""
+    return bytes([n, *chain.from_iterable((u, v, s + 1) for u, v, s in triples)])
+
+
+def _graph(record: bytes) -> SignedGraph:
+    """The graph packed in `record`, built and validated."""
+    return SignedGraph.from_triples(
+        record[0], zip(record[1::3], record[2::3], [s - 1 for s in record[3::3]])
+    )
 
 
 def _check_slice(
-    suites: list[int], flats: list[tuple[int, ...]]
+    suites: list[int], records: list[bytes]
 ) -> list[tuple[int, list[tuple[int, str]]]]:
-    """(position, [(suite, message), ...]) per failing graph of a slice, in
-    the slice's order."""
+    """(position, [(suite, message), ...]) per failing graph of a slice of
+    packed records, in the slice's order."""
     out = []
-    for position, flat in enumerate(flats):
-        found = check_graph(_graph(flat), suites)
+    for position, record in enumerate(records):
+        found = check_graph(_graph(record), suites)
         if found:
             out.append((position, [(v.suite, v.message) for v in found]))
     return out
 
 
-def _check_block(block: list[tuple[int, ...]], suites: list[int], workers, w: int):
+def _check_block(block: list[bytes], suites: list[int], workers, w: int):
     """(index, [(suite, message), ...]) per failing graph of the block, in
     index order; worker j checks the graphs with index j modulo w."""
     if workers is None:
@@ -638,19 +645,23 @@ def run_sweep(
     is called after each full block, when no worker is busy.  With one usable
     CPU, without the fork start method, or inside a daemonic process (which
     may not have children), the blocks are checked in this process.  This
-    process keeps the graphs flat (see `_flat`), one block at a time unless
-    a seed shuffles them all.
+    process packs each graph from `oracle.signed_graph_triples` into a
+    record of one byte per value (see `_pack`), holds the records one block
+    at a time unless a seed shuffles them all, and builds a graph only for a
+    counterexample.  So max_n may not exceed RECORD_MAX.
     """
     import multiprocessing  # here: its pool takes tens of ms to import
 
-    flats = map(_flat, oracle.generate_signed_graphs(max_n, max_m))
+    suites = _chosen(suites)  # a bad selection fails here, before any worker starts
+    if max_n > RECORD_MAX:
+        raise ValueError(f"max_n {max_n} exceeds {RECORD_MAX}, the largest n a packed graph holds")
+    records = (_pack(n, triples) for n, triples in oracle.signed_graph_triples(max_n, max_m))
     if seed is not None:
-        shuffled = list(flats)
+        shuffled = list(records)
         random.Random(seed).shuffle(shuffled)
         shuffled.reverse()
         # popped as taken, so that the list shrinks block by block
-        flats = (shuffled.pop() for _ in range(len(shuffled)))
-    suites = _chosen(suites)  # a bad selection fails here, before any worker starts
+        records = (shuffled.pop() for _ in range(len(shuffled)))
     w = _usable_cpus()
     if (
         "fork" not in multiprocessing.get_all_start_methods()
@@ -660,7 +671,7 @@ def run_sweep(
     result = SweepResult(workers=w)
     workers = multiprocessing.get_context("fork").Pool(w) if w > 1 else None
     try:
-        while block := list(islice(flats, BLOCK)):
+        while block := list(islice(records, BLOCK)):
             for i, found in _check_block(block, suites, workers, w):
                 g = _graph(block[i])
                 for suite, message in found:

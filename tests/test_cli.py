@@ -2,12 +2,17 @@
 
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import signedconn
 from signedconn import SignedGraph, balance, core, matroid, structure, sweep
 from signedconn.cli import build_report, main
-from signedconn.io import FIXTURE_NAMES, fixture
+from signedconn.io import FIXTURE_NAMES, emit, fixture
 
 
 @pytest.fixture(scope="module")
@@ -220,3 +225,26 @@ def test_returned_component_lists_are_copies():
     balance.component_balance(g)[0].append(frozenset({9}))
     assert core.connected_components(g) == want
     assert balance.component_balance(g) == (want, [False, True])
+
+
+def test_a_reader_that_leaves_early_gets_no_error_message(tmp_path):
+    # a 2,000-vertex path with a negative loop: its report, some 300 KB, is
+    # more than the pipe holds, so the command is still writing when the
+    # reader closes its end after one line, as `| head -1` does
+    path = tmp_path / "path.sg"
+    path.write_text(emit(SignedGraph.from_triples(2000, [(0, 0, -1)] + [
+        (i, i + 1, -1 if i % 7 == 0 else 1) for i in range(1999)
+    ])))
+    src = str(Path(signedconn.__file__).parent.parent)
+    path_list = filter(None, (src, os.environ.get("PYTHONPATH")))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path_list)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "signedconn.cli", "analyze", "--json", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    stderr = proc.communicate(timeout=60)[1].decode()
+    assert proc.returncode == 1
+    assert not [line for line in stderr.splitlines() if line.startswith("error:")]
+    assert stderr == ""

@@ -286,6 +286,17 @@ class TestComponents:
         assert part.classes == (frozenset({0}),)
         assert part.isolated_vertices == frozenset({2})
 
+    def test_both_matroids_share_each_balanced_block_class(self):
+        # a negative triangle with a tail of two bridges, and a lone vertex
+        g = SignedGraph.from_triples(6, [(0, 1, -1), (1, 2, 1), (2, 0, 1), (2, 3, 1), (3, 4, 1)])
+        frame, lift = frame_components(g), lift_components(g)
+        for bridge in (frozenset({3}), frozenset({4})):
+            (in_frame,) = [c for c in frame.classes if c == bridge]
+            (in_lift,) = [c for c in lift.classes if c == bridge]
+            assert in_frame is in_lift
+        assert frame.isolated_vertices is lift.isolated_vertices
+        assert frame.isolated_vertices == frozenset({5})
+
 
 class TestIsthmi:
     def test_unbalanced_triangle_all_coloops(self):

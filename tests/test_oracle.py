@@ -142,6 +142,13 @@ class TestGenerator:
             slots = [(e.u, e.v) for e in g.edges]
             assert all(slots.count(s) <= 2 for s in set(slots))
 
+    def test_the_graphs_are_the_triples_in_order(self):
+        graphs = [(g.n, [(e.u, e.v, e.sign) for e in g.edges])
+                  for g in oracle.generate_signed_graphs(4, 5)]
+        triples = [(n, list(t)) for n, t in oracle.signed_graph_triples(4, 5)]
+        assert len(graphs) == 64_480
+        assert triples == graphs
+
 
 class TestBipartite:
     def test_even_cycle(self):
