@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from . import io, matroid, structure, sweep
+from . import io, matroid, structure
 from .balance import balancing_edges, harary_bipartition, is_balanced
 from .core import SignedGraph
 from .errors import SignedGraphError
@@ -169,6 +169,8 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from . import sweep  # here: the sweep and the oracle serve this command alone
+
     start = time.perf_counter()
     result = sweep.run_sweep(args.max_n, args.max_m, seed=args.seed)
     seconds = time.perf_counter() - start

@@ -7,6 +7,7 @@ deliberately shares no code with the analysis modules it checks.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 from typing import Iterable, Iterator, Optional
@@ -540,24 +541,66 @@ def brute_sign_articulation_vertices(g: SignedGraph) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 # exhaustive generation
 
+class SignedGraphOrder:
+    """Every signed multigraph with 1 <= n <= max_n and m <= max_m, by rank:
+    graph k of the order is `order[k]`, as (n, edge triples (u, v, sign)).
+
+    Edge slots are vertex pairs (including loops) with multiplicity at most
+    two per slot; every signing of every slot multiset is produced.  The
+    table holds, per (n, m) in turn, the slot multisets in
+    `combinations_with_replacement` order; each one stands for its 2^m
+    signings, in `product((+1, -1), repeat=m)` order.  So a rank is decoded
+    without generating the graphs before it: the group's offset picks the
+    multiset (offset >> m) and the signs (the bits of offset mod 2^m, the
+    first edge's sign in the top bit, a set bit negative).
+    """
+
+    def __init__(self, max_n: int, max_m: int):
+        self._groups: list[tuple[int, int, list[tuple[tuple[int, int], ...]]]] = []
+        self._ends: list[int] = []  # the rank after each group's last graph
+        total = 0
+        for n in range(1, max_n + 1):
+            slots = [(u, v) for u in range(n) for v in range(u, n)]
+            for m in range(0, max_m + 1):
+                multisets = [
+                    combo
+                    for combo in combinations_with_replacement(slots, m)
+                    if all(combo.count(s) <= 2 for s in set(combo))
+                ]
+                total += len(multisets) << m
+                self._groups.append((n, m, multisets))
+                self._ends.append(total)
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, k: int) -> tuple[int, tuple[tuple[int, int, Sign], ...]]:
+        if not 0 <= k < len(self):
+            raise IndexError(f"rank {k} outside 0..{len(self) - 1}")
+        i = bisect_right(self._ends, k)
+        n, m, multisets = self._groups[i]
+        offset = k - self._ends[i] + (len(multisets) << m)
+        signs = offset & ((1 << m) - 1)
+        return n, tuple([
+            (u, v, -1 if signs >> (m - 1 - j) & 1 else 1)
+            for j, (u, v) in enumerate(multisets[offset >> m])
+        ])
+
+    def __iter__(self) -> Iterator[tuple[int, tuple[tuple[int, int, Sign], ...]]]:
+        for n, m, multisets in self._groups:
+            signings = list(product((+1, -1), repeat=m))
+            for combo in multisets:
+                for signs in signings:
+                    yield n, tuple([(u, v, s) for (u, v), s in zip(combo, signs)])
+
+
 def signed_graph_triples(
     max_n: int, max_m: int
 ) -> Iterator[tuple[int, tuple[tuple[int, int, Sign], ...]]]:
     """(n, edge triples (u, v, sign)) for every signed multigraph with
-    1 <= n <= max_n and m <= max_m.
-
-    Edge slots are vertex pairs (including loops) with multiplicity at most
-    two per slot; every signing of every slot multiset is produced.
-    Deterministic order.
-    """
-    for n in range(1, max_n + 1):
-        slots = [(u, v) for u in range(n) for v in range(u, n)]
-        for m in range(0, max_m + 1):
-            for combo in combinations_with_replacement(slots, m):
-                if any(combo.count(s) > 2 for s in set(combo)):
-                    continue
-                for signs in product((+1, -1), repeat=m):
-                    yield n, tuple([(u, v, s) for (u, v), s in zip(combo, signs)])
+    1 <= n <= max_n and m <= max_m, in the deterministic order of
+    `SignedGraphOrder`."""
+    return iter(SignedGraphOrder(max_n, max_m))
 
 
 def generate_signed_graphs(max_n: int, max_m: int) -> Iterator[SignedGraph]:

@@ -190,18 +190,21 @@ def _necklace_constituents(
     S = S.intersection(block_vertices)
     if len(S) < 2:
         return None
-    groups: dict[tuple, set[int]] = {}
-    for eid in block_edges:
-        _, u, v, sign = g.edges[eid]
-        if u in S and v in S:
-            groups.setdefault((min(u, v), max(u, v), sign), set()).add(eid)
     adjacency = g.adjacency
+    groups: dict[tuple, set[int]] = {}
+    # an edge between two vertices of the block lies in the block, for two
+    # blocks share at most one vertex; a loop is a block of its own
+    for a in S:
+        for eid, p, q, sign in adjacency[a]:
+            b = q if p == a else p
+            if a < b and b in S:
+                groups.setdefault((a, b, sign), set()).add(eid)
     pot: dict[int, int] = {}  # sign of a path from the bridge's root
     for root in block_vertices:
         if root in S or root in pot:
             continue
         pot[root] = 1
-        edges: list[int] = []  # an edge between two of its vertices comes twice
+        bridge: set[int] = set()
         ends: dict[int, int] = {}
         stack = [root]
         while stack:
@@ -210,14 +213,18 @@ def _necklace_constituents(
                 if eid not in block_edges:
                     continue
                 w = q if p == v else p
-                edges.append(eid)
+                bridge.add(eid)
                 if w in S:
                     ends[w] = pot[v] * sign
                 elif w not in pot:
                     pot[w] = pot[v] * sign
                     stack.append(w)
         a, b = sorted(ends)
-        groups.setdefault((a, b, ends[a] * ends[b]), set()).update(edges)
+        key = (a, b, ends[a] * ends[b])
+        if key in groups:
+            groups[key] |= bridge
+        else:
+            groups[key] = bridge
     if len(groups) < 2:
         return None
     return _ring_order(groups)
@@ -227,28 +234,32 @@ def _ring_order(groups: dict[tuple, set[int]]) -> tuple[frozenset[int], ...]:
     """Order necklace constituents cyclically, starting at the one holding the
     smallest edge id and moving toward the smaller-id neighbor.  Two
     constituents share only vertices of S, and those are the ends a, b of
-    their keys (a, b, sign), so they meet iff their ends do."""
+    their keys (a, b, sign), so the ring steps from a constituent to the
+    other one at its far end.  Constituents that form no single ring, each
+    end shared by exactly two, keep the order of their smallest edges."""
+    keys = list(groups)
     constituents = [frozenset(c) for c in groups.values()]
     low = [min(c) for c in constituents]
-    by_low = sorted(range(len(constituents)), key=low.__getitem__)
-    if len(constituents) == 2:
-        return tuple(constituents[i] for i in by_low)
-    at: dict[int, set[int]] = {}
-    for i, (a, b, _) in enumerate(groups):
-        at.setdefault(a, set()).add(i)
-        at.setdefault(b, set()).add(i)
-    nbrs = [sorted((at[a] | at[b]) - {i}) for i, (a, b, _) in enumerate(groups)]
     k = len(constituents)
-    if any(len(nb) != 2 for nb in nbrs):
-        return tuple(constituents[i] for i in by_low)
-    start = by_low[0]
-    nxt = min(nbrs[start], key=low.__getitem__)
-    order = [start, nxt]
-    while len(order) < k:
-        here = order[-1]
-        prev = order[-2]
-        step = nbrs[here][0] if nbrs[here][1] == prev else nbrs[here][1]
-        order.append(step)
+    start = min(range(k), key=low.__getitem__)
+    order = [start]
+    at: dict[int, list[int]] = {}
+    if k > 2:
+        for i, (a, b, _) in enumerate(keys):
+            at.setdefault(a, []).append(i)
+            at.setdefault(b, []).append(i)
+    if at and all(len(ids) == 2 for ids in at.values()):
+        a, b, _ = keys[start]
+        via_a = at[a][at[a][0] == start]
+        via_b = at[b][at[b][0] == start]
+        here, end = (via_a, a) if low[via_a] < low[via_b] else (via_b, b)
+        while here != start:
+            order.append(here)
+            a, b, _ = keys[here]
+            end = b if end == a else a
+            here = at[end][at[end][0] == here]
+    if len(order) != k:
+        order = sorted(range(k), key=low.__getitem__)
     return tuple(constituents[i] for i in order)
 
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, field
-from functools import cache, partial
-from itertools import chain, islice
+from functools import cache
 from typing import Callable, Iterable, Optional
 
 from . import matroid, oracle, structure
@@ -580,45 +579,75 @@ def check_graph(g: SignedGraph, suites: Optional[Iterable[int]] = None) -> list[
 BLOCK = 5000  # graphs checked between two `progress` reports
 
 
-RECORD_MAX = 255  # the largest value one byte of a packed record holds
-
-
-def _pack(n: int, triples: Iterable[tuple[int, int, int]]) -> bytes:
-    """A graph as one byte per value: n, then u, v and sign + 1 per edge.
-    Valid for n <= RECORD_MAX; about a third of the size of the same
-    values in a tuple, and cheap to send to a worker."""
-    return bytes([n, *chain.from_iterable((u, v, s + 1) for u, v, s in triples)])
-
-
-def _graph(record: bytes) -> SignedGraph:
-    """The graph packed in `record`, built and validated."""
-    return SignedGraph.from_triples(
-        record[0], zip(record[1::3], record[2::3], [s - 1 for s in record[3::3]])
-    )
-
-
-def _check_slice(
-    suites: list[int], records: list[bytes]
+def _check_positions(
+    graphs: oracle.SignedGraphOrder, order, positions: Iterable[int], suites: list[int]
 ) -> list[tuple[int, list[tuple[int, str]]]]:
-    """(position, [(suite, message), ...]) per failing graph of a slice of
-    packed records, in the slice's order."""
+    """(position, [(suite, message), ...]) per failing graph among the given
+    positions of `order`, in their order; each graph is decoded from its
+    rank `order[position]`."""
     out = []
-    for position, record in enumerate(records):
-        found = check_graph(_graph(record), suites)
+    for position in positions:
+        n, triples = graphs[order[position]]
+        found = check_graph(SignedGraph.from_triples(n, triples), suites)
         if found:
             out.append((position, [(v.suite, v.message) for v in found]))
     return out
 
 
-def _check_block(block: list[bytes], suites: list[int], workers, w: int):
-    """(index, [(suite, message), ...]) per failing graph of the block, in
-    index order; worker j checks the graphs with index j modulo w."""
-    if workers is None:
-        return _check_slice(suites, block)
-    parts = workers.map(partial(_check_slice, suites), [block[j::w] for j in range(w)])
-    return sorted(
-        (j + w * position, found) for j, part in enumerate(parts) for position, found in part
-    )
+def _worker(send, graphs, order, positions, suites) -> None:
+    """A forked worker's body: the failures among `positions`, or the
+    exception that stopped the check, sent once over `send`."""
+    try:
+        reply = (True, _check_positions(graphs, order, positions, suites))
+    except Exception as exc:  # re-raised by the parent
+        reply = (False, exc)
+    send.send(reply)
+    send.close()
+
+
+def _check_block(ctx, graphs, order, lo: int, hi: int, suites: list[int], w: int):
+    """(position, [(suite, message), ...]) per failing graph of the block
+    [lo, hi) of `order`, in position order.  Worker j is a process forked
+    for this block alone: it inherits the table and the rank order, checks
+    the positions lo + j, lo + j + w, ... below hi, and sends back only its
+    failures.  No worker outlives the call.  The sweep starts no thread, so
+    no lock is held by another thread when a worker is forked."""
+    procs, receivers = [], []
+    try:
+        for j in range(w):
+            receive, send = ctx.Pipe(duplex=False)
+            receivers.append(receive)
+            proc = ctx.Process(
+                target=_worker,
+                args=(send, graphs, order, range(lo + j, hi, w), suites),
+                daemon=True,
+            )
+            proc.start()
+            procs.append(proc)
+            # only the worker holds the send end now, so its end reads as EOF
+            send.close()
+        found = []
+        for j, (proc, receive) in enumerate(zip(procs, receivers)):
+            try:
+                ok, value = receive.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"sweep worker {j} ended with exit code {proc.exitcode} "
+                    "before sending its results"
+                ) from None
+            if not ok:
+                raise value
+            found += value
+        return sorted(found)
+    finally:
+        for proc in procs:
+            proc.terminate()
+        for proc in procs:
+            proc.join()
+            proc.close()
+        for receive in receivers:
+            receive.close()
 
 
 def _usable_cpus() -> int:
@@ -639,48 +668,56 @@ def run_sweep(
     A seed shuffles the (otherwise deterministic) graph order, which only
     affects which counterexample is reported first.
 
-    The graphs are checked in blocks of BLOCK, each split by index modulo w
-    across w forked workers, one per usable CPU, and the failures are merged
-    in index order: the result is the one a single process gives.  `progress`
-    is called after each full block, when no worker is busy.  With one usable
-    CPU, without the fork start method, or inside a daemonic process (which
-    may not have children), the blocks are checked in this process.  This
-    process packs each graph from `oracle.signed_graph_triples` into a
-    record of one byte per value (see `_pack`), holds the records one block
-    at a time unless a seed shuffles them all, and builds a graph only for a
-    counterexample.  So max_n may not exceed RECORD_MAX.
+    A graph is known by its rank in `oracle.SignedGraphOrder`, and the graph
+    order is a sequence of ranks: `range(N)`, or, with a seed, an array of
+    4 bytes per rank shuffled once.  The graphs are checked in blocks of
+    BLOCK positions of that order.  Each block is split by position modulo
+    w across w worker processes forked for that block, one per usable CPU;
+    each decodes its own graphs from their ranks and sends back only its
+    failures, which are merged in position order: the result is the one a
+    single process gives.  A worker's exception is raised here, and a worker
+    that ends without reporting raises RuntimeError naming its exit code;
+    either way every worker is stopped and reaped before the call returns.
+    `progress` is called after each full block, when no worker is running.
+    With one usable CPU, without the fork start method, or inside a daemonic
+    process (which may not have children), the blocks are checked in this
+    process.  This process holds no graphs and builds one only for a
+    counterexample.
     """
-    import multiprocessing  # here: its pool takes tens of ms to import
+    # here, not at import: `multiprocessing` takes tens of ms to import, and
+    # `array` is a shared library that only a seeded order needs
+    import multiprocessing
+    from array import array
 
     suites = _chosen(suites)  # a bad selection fails here, before any worker starts
-    if max_n > RECORD_MAX:
-        raise ValueError(f"max_n {max_n} exceeds {RECORD_MAX}, the largest n a packed graph holds")
-    records = (_pack(n, triples) for n, triples in oracle.signed_graph_triples(max_n, max_m))
+    graphs = oracle.SignedGraphOrder(max_n, max_m)
+    order = range(len(graphs))
     if seed is not None:
-        shuffled = list(records)
-        random.Random(seed).shuffle(shuffled)
-        shuffled.reverse()
-        # popped as taken, so that the list shrinks block by block
-        records = (shuffled.pop() for _ in range(len(shuffled)))
+        # the shuffle's draws depend on the length alone, so this is the
+        # order a shuffled list of the graphs would have
+        order = array("I", order)
+        random.Random(seed).shuffle(order)
     w = _usable_cpus()
     if (
         "fork" not in multiprocessing.get_all_start_methods()
         or multiprocessing.current_process().daemon
     ):
         w = 1
+    ctx = multiprocessing.get_context("fork") if w > 1 else None
     result = SweepResult(workers=w)
-    workers = multiprocessing.get_context("fork").Pool(w) if w > 1 else None
-    try:
-        while block := list(islice(records, BLOCK)):
-            for i, found in _check_block(block, suites, workers, w):
-                g = _graph(block[i])
-                for suite, message in found:
-                    result.failure_counts[suite] = result.failure_counts.get(suite, 0) + 1
-                    result.first_failure.setdefault(suite, Violation(suite, message, g))
-            result.graphs_checked += len(block)
-            if progress is not None and result.graphs_checked % BLOCK == 0:
-                progress(result.graphs_checked)
-    finally:
-        if workers is not None:
-            workers.terminate()
+    for lo in range(0, len(order), BLOCK):
+        hi = min(lo + BLOCK, len(order))
+        if ctx is None:
+            failing = _check_positions(graphs, order, range(lo, hi), suites)
+        else:
+            failing = _check_block(ctx, graphs, order, lo, hi, suites, w)
+        for position, found in failing:
+            n, triples = graphs[order[position]]
+            g = SignedGraph.from_triples(n, triples)
+            for suite, message in found:
+                result.failure_counts[suite] = result.failure_counts.get(suite, 0) + 1
+                result.first_failure.setdefault(suite, Violation(suite, message, g))
+        result.graphs_checked = hi
+        if progress is not None and hi % BLOCK == 0:
+            progress(hi)
     return result

@@ -248,3 +248,19 @@ def test_a_reader_that_leaves_early_gets_no_error_message(tmp_path):
     assert proc.returncode == 1
     assert not [line for line in stderr.splitlines() if line.startswith("error:")]
     assert stderr == ""
+
+
+def test_importing_the_cli_leaves_the_sweep_and_the_oracle_out():
+    # only `check` needs them, so the other commands start without them
+    src = str(Path(signedconn.__file__).parent.parent)
+    path_list = filter(None, (src, os.environ.get("PYTHONPATH")))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path_list)}
+    code = (
+        "import sys, signedconn.cli; "
+        "print(sorted(m for m in ('signedconn.sweep', 'signedconn.oracle') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"

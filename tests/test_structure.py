@@ -12,6 +12,7 @@ from signedconn import (
     HypercyclicVerdict,
     NotABlock,
     SignedGraph,
+    balancing_vertices,
     Walk,
     block_decomposition,
     classify_hypercyclic,
@@ -293,6 +294,105 @@ class TestDetectNecklace:
     def test_not_a_block(self):
         with pytest.raises(NotABlock):
             detect_necklace(fixture("LOOSE"), frozenset({0, 6}))
+
+
+def _reference_necklace_constituents(g, block_edges, block_vertices, S):
+    """The necklace search as it scanned every block edge for S-S edges and
+    kept per-constituent neighbour sets: the reference for the search that
+    reads S-S edges off S's adjacency and steps round the ring by its ends."""
+    S = S.intersection(block_vertices)
+    if len(S) < 2:
+        return None
+    groups = {}
+    for eid in block_edges:
+        _, u, v, sign = g.edges[eid]
+        if u in S and v in S:
+            groups.setdefault((min(u, v), max(u, v), sign), set()).add(eid)
+    pot = {}
+    for root in block_vertices:
+        if root in S or root in pot:
+            continue
+        pot[root] = 1
+        edges, ends, stack = [], {}, [root]
+        while stack:
+            v = stack.pop()
+            for eid, p, q, sign in g.adjacency[v]:
+                if eid not in block_edges:
+                    continue
+                w = q if p == v else p
+                edges.append(eid)
+                if w in S:
+                    ends[w] = pot[v] * sign
+                elif w not in pot:
+                    pot[w] = pot[v] * sign
+                    stack.append(w)
+        a, b = sorted(ends)
+        groups.setdefault((a, b, ends[a] * ends[b]), set()).update(edges)
+    if len(groups) < 2:
+        return None
+    constituents = [frozenset(c) for c in groups.values()]
+    low = [min(c) for c in constituents]
+    by_low = sorted(range(len(constituents)), key=low.__getitem__)
+    if len(constituents) == 2:
+        return tuple(constituents[i] for i in by_low)
+    at = {}
+    for i, (a, b, _) in enumerate(groups):
+        at.setdefault(a, set()).add(i)
+        at.setdefault(b, set()).add(i)
+    nbrs = [sorted((at[a] | at[b]) - {i}) for i, (a, b, _) in enumerate(groups)]
+    if any(len(nb) != 2 for nb in nbrs):
+        return tuple(constituents[i] for i in by_low)
+    order = [by_low[0], min(nbrs[by_low[0]], key=low.__getitem__)]
+    while len(order) < len(constituents):
+        here, prev = order[-1], order[-2]
+        order.append(nbrs[here][0] if nbrs[here][1] == prev else nbrs[here][1])
+    return tuple(constituents[i] for i in order)
+
+
+def _relabelled_rings(count, seed):
+    """Rings of 2-8 beads of 1-4 edges per arc, on shuffled vertex labels,
+    with shuffled edges and a random switching."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        ring = _ring_of_beads(rng.randint(2, 8), rng.randint(1, 4))
+        label = list(range(ring.n))
+        rng.shuffle(label)
+        flip = [rng.choice((1, -1)) for _ in range(ring.n)]
+        triples = [(label[e.u], label[e.v], e.sign * flip[e.u] * flip[e.v]) for e in ring.edges]
+        rng.shuffle(triples)
+        yield SignedGraph.from_triples(ring.n, triples)
+
+
+def _analyze_like_graphs():
+    yield from (_tree_with_negative_triangle(n, n) for n in (100, 200, 400))
+    yield from (_forest_of_unbalanced_parts(k, 10, k) for k in (20, 40, 80))
+    yield from (_ring_of_beads(6, half) for half in (8, 16, 24))
+    yield from (complete_with_two_negative_edges(n) for n in (8, 9, 10))
+
+
+def test_necklace_search_matches_the_reference():
+    """On every unbalanced block, with S taken from the block alone (as
+    `detect_necklace` takes it) and from the whole graph (as the block
+    decomposition does)."""
+    necklaces = Counter()
+    families = {
+        "(4, 5)": oracle.generate_signed_graphs(4, 5),
+        "random": _random_multigraphs(4000, 21),
+        "rings": _relabelled_rings(300, 22),
+        "analyze": _analyze_like_graphs(),
+    }
+    for name, family in families.items():
+        for g in family:
+            whole = balancing_vertices(g)
+            for es, vs, balanced, _, _ in block_decomposition(g).rows:
+                if balanced or len(vs) < 2:
+                    continue
+                es = frozenset(es)
+                for S in (balancing_vertices(g.subgraph_of_edges(es)), whole):
+                    got = structure._necklace_constituents(g, es, vs, S)
+                    assert got == _reference_necklace_constituents(g, es, vs, S)
+                    necklaces[name] += got is not None
+    assert min(necklaces.values()) >= 20, necklaces
 
 
 class TestContrabalance:

@@ -1,14 +1,20 @@
 """The sweep's block-parallel `run_sweep` gives what one process checking
 every graph in order gives: the same counts, the same first counterexamples,
 the same progress reports, and a bad suite selection is refused up front.
-Suite 4's local submodularity check agrees with the all-pairs definition,
+A worker that dies stops the sweep with an error naming its exit code, and
+no worker outlives the call; the parent runs no other thread and holds no
+graphs.  Suite 4's local submodularity check agrees with the all-pairs definition,
 its per-size tables with the loops they replace, its rank tables with the
 oracle's rank, and one wrong answer of the library gives a suite-4
 violation; suite 6 checks each theta by definition, and suite 2's five
 characterizations of a balancing edge agree."""
 
 import multiprocessing
+import os
 import random
+import signal
+import threading
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -120,6 +126,58 @@ def test_a_daemonic_process_checks_in_process(monkeypatch):
     child.join(60)
     assert not child.is_alive() and child.exitcode == 0
     assert workers == 1
+
+
+def _exits_on_one_graph(g, fail):
+    if g.n == 4 and g.m == 4 and all(e.sign < 0 for e in g.edges):
+        os._exit(3)
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("run_sweep still running")
+
+
+@pytest.mark.skipif(not FORK, reason="needs the fork start method")
+def test_a_worker_that_dies_stops_the_sweep(monkeypatch):
+    monkeypatch.setattr(sweep, "_CHECKS", {1: _exits_on_one_graph})
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(60)
+    try:
+        with pytest.raises(RuntimeError, match="exit code 3"):
+            sweep.run_sweep(4, 4)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not FORK, reason="needs the fork start method")
+def test_the_parent_runs_no_other_thread_during_a_sweep(cheap_checks, monkeypatch):
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+    before = threading.enumerate()
+    seen = []
+    sweep.run_sweep(4, 4, seed=5, progress=lambda done: seen.append(threading.enumerate()))
+    assert before == [threading.main_thread()]
+    assert seen == [before, before]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not FORK, reason="needs the fork start method")
+def test_the_parent_of_a_seeded_sweep_holds_no_graphs(monkeypatch):
+    # the graphs of (4, 5) would take several MB as tuples, and about
+    # 1 MB even packed one byte per value
+    monkeypatch.setattr(sweep, "_CHECKS", {1: lambda g, fail: None})
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+    sweep.run_sweep(2, 1, seed=9)  # loads the modules a sweep imports on first use
+    tracemalloc.start()
+    try:
+        result = sweep.run_sweep(4, 5, seed=9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.ok and result.graphs_checked == 64_480
+    assert peak < 1.5 * 2**20
 
 
 def _submodular_by_all_pairs(tab, m):

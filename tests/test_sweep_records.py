@@ -1,9 +1,11 @@
-"""The sweep's packed records: every generated graph round-trips through its
-record, the parent of a forked sweep builds no graph at all, and bounds past
-what a record holds are refused before any worker starts."""
+"""The sweep's graph ranks: every rank decodes to the graph the generator
+yields at that position, the generator keeps the order of the nested loop it
+replaced, the parent of a forked sweep builds no graph at all, and no bound
+on n is refused."""
 
 import multiprocessing
 import os
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -12,16 +14,36 @@ from signedconn import SignedGraph, oracle, sweep
 FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
-def test_every_graph_round_trips_through_its_record():
+def test_every_rank_decodes_to_the_generated_graph():
+    order = oracle.SignedGraphOrder(4, 5)
     graphs = oracle.generate_signed_graphs(4, 5)
     count = 0
-    for (n, triples), g in zip(oracle.signed_graph_triples(4, 5), graphs):
-        record = sweep._pack(n, triples)
-        assert len(record) == 1 + 3 * g.m
-        assert sweep._graph(record) == g
+    for k, g in enumerate(graphs):
+        n, triples = order[k]
+        assert SignedGraph.from_triples(n, triples) == g
         count += 1
-    assert count == 64_480
-    assert next(graphs, None) is None
+    assert count == len(order) == 64_480
+    for k in (-1, count):
+        with pytest.raises(IndexError):
+            order[k]
+
+
+def _nested_loop(max_n, max_m):
+    """The enumeration as one nested loop: the reference order."""
+    for n in range(1, max_n + 1):
+        slots = [(u, v) for u in range(n) for v in range(u, n)]
+        for m in range(0, max_m + 1):
+            for combo in combinations_with_replacement(slots, m):
+                if any(combo.count(s) > 2 for s in set(combo)):
+                    continue
+                for signs in product((+1, -1), repeat=m):
+                    yield n, tuple([(u, v, s) for (u, v), s in zip(combo, signs)])
+
+
+def test_the_triples_keep_the_nested_loop_order():
+    assert list(oracle.signed_graph_triples(4, 5)) == list(_nested_loop(4, 5))
+    assert list(oracle.signed_graph_triples(0, 3)) == []
+    assert len(oracle.SignedGraphOrder(0, 3)) == 0
 
 
 def _never(*args):
@@ -57,16 +79,7 @@ def test_the_parent_of_a_forked_sweep_builds_no_graph(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("seed", [None, 1])
-def test_bounds_past_a_record_are_refused_before_any_worker_starts(monkeypatch, seed):
-    def no_pool(*args):
-        raise AssertionError("a worker pool was started")
-
+def test_a_bound_past_255_vertices_is_checked(monkeypatch, seed):
     monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
-    monkeypatch.setattr(oracle, "signed_graph_triples", _never)
-    with pytest.raises(ValueError, match=f"max_n 256 exceeds {sweep.RECORD_MAX}"):
-        sweep.run_sweep(256, 1, seed=seed)
-    assert sweep.RECORD_MAX == 255
-    assert sweep._graph(sweep._pack(255, [(254, 0, -1), (7, 7, 1)])) == SignedGraph.from_triples(
-        255, [(254, 0, -1), (7, 7, 1)]
-    )
+    result = sweep.run_sweep(256, 0, seed=seed, suites=[7])
+    assert result.ok and result.graphs_checked == 256
