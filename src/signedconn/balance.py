@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import SignedGraph, _kept, connected_components
 
@@ -24,8 +23,7 @@ def is_balanced(g: SignedGraph) -> bool:
     return not g.spine.frustrated
 
 
-@dataclass(frozen=True)
-class HararyBipartition:
+class HararyBipartition(NamedTuple):
     """Per connected component, the vertex set to switch so that every edge of
     the component becomes positive.  Canonical form: the switched side never
     contains the component's smallest vertex."""

@@ -39,15 +39,16 @@ class SignedGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        if self.n < 0:
-            raise VertexOutOfRange(f"negative vertex count {self.n}")
-        for i, e in enumerate(self.edges):
-            if e.id != i:
-                raise EdgeOutOfRange(f"edge ids must be dense, got {e.id} at {i}")
-            if not (0 <= e.u < self.n and 0 <= e.v < self.n):
-                raise VertexOutOfRange(f"edge {e.id} endpoints ({e.u},{e.v}) out of range")
-            if e.sign not in (+1, -1):
-                raise ValueError(f"edge {e.id} sign must be +1 or -1")
+        n = self.n
+        if n < 0:
+            raise VertexOutOfRange(f"negative vertex count {n}")
+        for i, (eid, u, v, sign) in enumerate(self.edges):
+            if eid != i:
+                raise EdgeOutOfRange(f"edge ids must be dense, got {eid} at {i}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise VertexOutOfRange(f"edge {eid} endpoints ({u},{v}) out of range")
+            if sign not in (+1, -1):
+                raise ValueError(f"edge {eid} sign must be +1 or -1")
 
     @classmethod
     def from_triples(cls, n: int, triples: Iterable[tuple[int, int, Sign]]) -> "SignedGraph":
@@ -256,20 +257,32 @@ def _vertex_set(g: SignedGraph, edge_ids: Iterable[int]) -> set[int]:
     return out
 
 
-@dataclass(frozen=True)
-class Walk:
+class _WalkFields(NamedTuple):
+    start: int
+    steps: tuple[tuple[int, bool], ...]
+
+
+class Walk(_WalkFields):
     """A chain: a start vertex plus an incidence-consistent edge sequence.
 
     Steps are (edge id, forward) pairs where forward means the edge is
     traversed from its stored u endpoint to its v endpoint.  Storing edge ids
     keeps parallel edges and loops unambiguous.
+
+    A named tuple (start, steps) whose `len` is its number of steps.
     """
 
-    start: int
-    steps: tuple[tuple[int, bool], ...]
+    __slots__ = ()
 
     def __len__(self) -> int:
         return len(self.steps)
+
+    @classmethod
+    def _make(cls, iterable) -> "Walk":
+        # the named tuple's own `_make`, which `_replace` calls, checks the
+        # field count with `len`; unpacking checks it here
+        start, steps = iterable
+        return cls(start, steps)
 
     def vertex_sequence(self, g: SignedGraph) -> list[int]:
         """All visited vertices in order; raises InvalidWalk on inconsistency."""

@@ -3,9 +3,8 @@ matroid components, coloops, and quasibalance."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import _cycles, structure
 from .core import SignedGraph, _kept, _vertex_set
@@ -23,8 +22,7 @@ class CircuitVerdict(str, Enum):
     NOT_A_CIRCUIT = "not-a-circuit"
 
 
-@dataclass(frozen=True)
-class CircuitClassification:
+class CircuitClassification(NamedTuple):
     verdict: CircuitVerdict
     cycles: tuple[frozenset[int], ...] = ()
     chain: frozenset[int] = frozenset()
@@ -326,9 +324,10 @@ def _has_partner(g: SignedGraph, block: frozenset[int], cycle: frozenset[int]) -
     on_cycle = _vertex_set(g, cycle)
     free: list[int] = []
     attached: dict[int, list[int]] = {}
+    edges = g.edges
     for eid in block - cycle:
-        e = g.edges[eid]
-        ends = {e.u, e.v} & on_cycle
+        _, u, v, _ = edges[eid]
+        ends = {u, v} & on_cycle
         if not ends:
             free.append(eid)
         elif len(ends) == 1:

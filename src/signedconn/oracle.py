@@ -8,16 +8,14 @@ deliberately shares no code with the analysis modules it checks.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .core import Sign, SignedGraph, Walk
 from .errors import BudgetExceeded
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
+class EnumerationBudget(NamedTuple):
     """Hard caps for the exponential sweeps; exceeding any cap raises
     BudgetExceeded rather than silently truncating."""
 

@@ -3,7 +3,7 @@ positive/negative connection, and parity connection."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .balance import balancing_edges, balancing_vertices, component_balance
 from .core import (
@@ -18,8 +18,7 @@ from .errors import NotSignConnected, PreconditionError
 from .structure import block_decomposition
 
 
-@dataclass(frozen=True)
-class ComponentPartition:
+class ComponentPartition(NamedTuple):
     """A partition into components of the given kind.
 
     For vertex kinds (graph, sign, positive, negative) the classes partition
@@ -29,7 +28,7 @@ class ComponentPartition:
 
     kind: str
     classes: tuple[frozenset[int], ...]
-    isolated_vertices: frozenset[int] = field(default=frozenset())
+    isolated_vertices: frozenset[int] = frozenset()
 
     @property
     def q(self) -> int:
@@ -65,8 +64,7 @@ def is_sign_connected(g: SignedGraph) -> bool:
     return len(k) == 1 and k[0] > 0
 
 
-@dataclass(frozen=True)
-class WitnessPair:
+class WitnessPair(NamedTuple):
     positive: Walk
     negative: Walk
 

@@ -7,15 +7,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .balance import balancing_vertices
 from .core import SignedGraph, Walk, _kept, _Spine
 from .errors import NotABlock
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """A maximal subgraph with no articulation vertex.  A loop and an isolated
     vertex are blocks; a bridge is a two-vertex block."""
 
@@ -30,8 +29,7 @@ class Block:
         return len(self.edges) >= 1 and len(self.edges) == len(self.vertices)
 
 
-@dataclass(frozen=True)
-class Core:
+class Core(NamedTuple):
     """Union of the inner blocks of one unbalanced connected component."""
 
     component: int
@@ -302,8 +300,7 @@ def is_contrabalanced(g: SignedGraph) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Theta:
+class Theta(NamedTuple):
     """Three internally disjoint chains sharing both endpoints, each listed
     in order from the first endpoint to the second."""
 
@@ -366,8 +363,7 @@ class HypercyclicKind(str, Enum):
     NOT_HYPERCYCLIC = "not-hypercyclic"
 
 
-@dataclass(frozen=True)
-class HypercyclicVerdict:
+class HypercyclicVerdict(NamedTuple):
     kind: HypercyclicKind
     cycle: Optional[frozenset[int]] = None
     arm_from_start: frozenset[int] = frozenset()

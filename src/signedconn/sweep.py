@@ -11,7 +11,7 @@ import os
 import random
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import matroid, oracle, structure
 from .balance import balancing_edges, component_balance, is_balanced
@@ -39,8 +39,7 @@ SUITES: dict[int, str] = {
 }
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     suite: int
     message: str
     graph: SignedGraph

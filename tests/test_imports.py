@@ -2,7 +2,9 @@
 function-level imports included, names a standard-library module."""
 
 import ast
+import importlib
 import sys
+from dataclasses import is_dataclass
 from pathlib import Path
 
 import pytest
@@ -76,3 +78,17 @@ def test_oracle_imports_only_core_and_errors():
     """The oracle stays independent of the modules it checks: from the
     package it reads only the graph type and the errors."""
     assert set(_package_imports(PACKAGE / "oracle.py")) <= {"core", "errors"}
+
+
+def test_only_the_graph_the_decomposition_and_the_sweep_result_are_dataclasses():
+    """The value types are named tuples, which cost far less to create at
+    import than generated dataclasses.  `SignedGraph` and
+    `BlockDecomposition` keep values in a `__dict__`, and `SweepResult` is
+    mutable."""
+    dataclasses_found = set()
+    for path in MODULES:
+        module = importlib.import_module(f"signedconn.{path.stem}")
+        for obj in vars(module).values():
+            if isinstance(obj, type) and obj.__module__ == module.__name__ and is_dataclass(obj):
+                dataclasses_found.add(obj.__name__)
+    assert dataclasses_found == {"SignedGraph", "BlockDecomposition", "SweepResult"}

@@ -15,7 +15,6 @@ import random
 import signal
 import threading
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -354,7 +353,7 @@ def _split_lift_class(real):
     def patched(g):
         part = real(g)
         classes = [c for c in part.classes if len(c) == 1]
-        return replace(part, classes=(frozenset({0, 1, 2}), frozenset({3, 4, 5}), *classes))
+        return part._replace(classes=(frozenset({0, 1, 2}), frozenset({3, 4, 5}), *classes))
     return patched
 
 
