@@ -42,7 +42,10 @@ class SignedGraph:
         n = self.n
         if n < 0:
             raise VertexOutOfRange(f"negative vertex count {n}")
-        for i, (eid, u, v, sign) in enumerate(self.edges):
+        for i, e in enumerate(self.edges):
+            if type(e) is not Edge:
+                raise TypeError(f"edge {i} is a {type(e).__name__}, not an Edge")
+            eid, u, v, sign = e
             if eid != i:
                 raise EdgeOutOfRange(f"edge ids must be dense, got {eid} at {i}")
             if not (0 <= u < n and 0 <= v < n):

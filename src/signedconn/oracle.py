@@ -8,31 +8,10 @@ deliberately shares no code with the analysis modules it checks.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import combinations, combinations_with_replacement, product
-from typing import Iterable, Iterator, NamedTuple, Optional
+from itertools import combinations, combinations_with_replacement
+from typing import Iterable, Iterator, Optional
 
-from .core import Sign, SignedGraph, Walk
-from .errors import BudgetExceeded
-
-
-class EnumerationBudget(NamedTuple):
-    """Hard caps for the exponential sweeps; exceeding any cap raises
-    BudgetExceeded rather than silently truncating."""
-
-    max_cycles: int = 100_000
-    max_chain_length: Optional[int] = None  # None: 2n
-    max_subsets: int = 10_000_000
-
-    def check_cycles(self, count: int) -> None:
-        if count > self.max_cycles:
-            raise BudgetExceeded(f"more than {self.max_cycles} cycles")
-
-    def check_subsets(self, count: int) -> None:
-        if count > self.max_subsets:
-            raise BudgetExceeded(f"more than {self.max_subsets} subsets")
-
-
-DEFAULT_BUDGET = EnumerationBudget()
+from .core import Sign, SignedGraph
 
 
 # ---------------------------------------------------------------------------
@@ -122,15 +101,16 @@ def brute_is_contrabalanced(g: SignedGraph) -> bool:
     return all(s == -1 for _, s in brute_cycles(g))
 
 
+def _cycle_vertices(g: SignedGraph, cyc: frozenset[int]) -> frozenset[int]:
+    vs = set()
+    for eid in cyc:
+        vs.add(g.edges[eid].u)
+        vs.add(g.edges[eid].v)
+    return frozenset(vs)
+
+
 def brute_is_quasibalanced(g: SignedGraph) -> bool:
-    neg = [c for c, s in brute_cycles(g) if s == -1]
-    vsets = []
-    for c in neg:
-        vs = set()
-        for eid in c:
-            vs.add(g.edges[eid].u)
-            vs.add(g.edges[eid].v)
-        vsets.append(vs)
+    vsets = [_cycle_vertices(g, c) for c, s in brute_cycles(g) if s == -1]
     return all(
         len(vsets[i] & vsets[j]) >= 2
         for i in range(len(vsets))
@@ -244,52 +224,11 @@ def _relation_components(related: list[list[bool]]) -> list[frozenset[int]]:
     return out
 
 
-def enumerate_chains(
-    g: SignedGraph, x: int, y: int, budget: EnumerationBudget = DEFAULT_BUDGET
-) -> dict[Sign, list[Walk]]:
-    """All chains from x to y up to the length cap (default 2n), by sign."""
-    cap = 2 * g.n if budget.max_chain_length is None else budget.max_chain_length
-    out: dict[Sign, list[Walk]] = {+1: [], -1: []}
-    count = 0
-    stack: list[tuple[int, Sign, tuple[tuple[int, bool], ...]]] = [(x, +1, ())]
-    while stack:
-        at, sign, steps = stack.pop()
-        count += 1
-        budget.check_subsets(count)
-        if at == y:
-            out[sign].append(Walk(x, steps))
-        if len(steps) >= cap:
-            continue
-        for e in g.adjacency[at]:
-            stack.append((e.other(at), sign * e.sign, steps + ((e.id, e.u != at),)))
-    return out
-
-
-def enumerate_elementary_cycles(
-    g: SignedGraph, budget: EnumerationBudget = DEFAULT_BUDGET
-) -> list[tuple[frozenset[int], Sign]]:
-    """Deterministically ordered elementary cycles, by subset sweep."""
-    budget.check_subsets(1 << g.m)
-    out = brute_cycles(g)
-    budget.check_cycles(len(out))
-    return sorted(out, key=lambda cs: (len(cs[0]), sorted(cs[0])))
-
-
-def _cycle_vertices(g: SignedGraph, cyc: frozenset[int]) -> frozenset[int]:
-    vs = set()
-    for eid in cyc:
-        vs.add(g.edges[eid].u)
-        vs.add(g.edges[eid].v)
-    return frozenset(vs)
-
-
-def enumerate_frame_circuits(
-    g: SignedGraph, budget: EnumerationBudget = DEFAULT_BUDGET
-) -> list[frozenset[int]]:
+def enumerate_frame_circuits(g: SignedGraph) -> list[frozenset[int]]:
     """Positive cycles, pairs of negative cycles meeting in one vertex, and
     vertex-disjoint negative cycle pairs joined by a connecting chain --
-    composed directly from enumerated cycles."""
-    cycles = enumerate_elementary_cycles(g, budget)
+    composed directly from the cycles of `brute_cycles`."""
+    cycles = brute_cycles(g)
     out = {c for c, s in cycles if s == +1}
     neg = [(c, _cycle_vertices(g, c)) for c, s in cycles if s == -1]
     for (c1, v1), (c2, v2) in combinations(neg, 2):
@@ -304,12 +243,10 @@ def enumerate_frame_circuits(
     return sorted(out, key=lambda c: (len(c), sorted(c)))
 
 
-def enumerate_lift_circuits(
-    g: SignedGraph, budget: EnumerationBudget = DEFAULT_BUDGET
-) -> list[frozenset[int]]:
+def enumerate_lift_circuits(g: SignedGraph) -> list[frozenset[int]]:
     """Positive cycles, pairs of negative cycles meeting in one vertex, and
     bare vertex-disjoint negative cycle pairs."""
-    cycles = enumerate_elementary_cycles(g, budget)
+    cycles = brute_cycles(g)
     out = {c for c, s in cycles if s == +1}
     neg = [(c, _cycle_vertices(g, c)) for c, s in cycles if s == -1]
     for (c1, v1), (c2, v2) in combinations(neg, 2):
@@ -429,9 +366,15 @@ def brute_circuits(g: SignedGraph, independent) -> list[frozenset[int]]:
 
 
 def brute_matroid_components(g: SignedGraph, independent) -> list[frozenset[int]]:
-    """Matroid components: transitive closure of sharing a circuit; an edge
-    in no circuit is its own component."""
-    parent = list(range(g.m))
+    """Matroid components: the closure of the circuits found by sweeping."""
+    return circuit_closure(g.m, brute_circuits(g, independent))
+
+
+def circuit_closure(m: int, circuits: Iterable[frozenset[int]]) -> list[frozenset[int]]:
+    """The classes of the edges 0..m-1 under the transitive closure of
+    sharing a circuit, by least edge; an edge in no circuit is its own
+    class."""
+    parent = list(range(m))
 
     def find(a):
         while parent[a] != a:
@@ -439,12 +382,12 @@ def brute_matroid_components(g: SignedGraph, independent) -> list[frozenset[int]
             a = parent[a]
         return a
 
-    for circ in brute_circuits(g, independent):
+    for circ in circuits:
         ids = sorted(circ)
         for other in ids[1:]:
             parent[find(other)] = find(ids[0])
     classes: dict[int, set[int]] = {}
-    for eid in range(g.m):
+    for eid in range(m):
         classes.setdefault(find(eid), set()).add(eid)
     return [frozenset(c) for c in sorted(classes.values(), key=min)]
 
@@ -585,23 +528,11 @@ class SignedGraphOrder:
         ])
 
     def __iter__(self) -> Iterator[tuple[int, tuple[tuple[int, int, Sign], ...]]]:
-        for n, m, multisets in self._groups:
-            signings = list(product((+1, -1), repeat=m))
-            for combo in multisets:
-                for signs in signings:
-                    yield n, tuple([(u, v, s) for (u, v), s in zip(combo, signs)])
-
-
-def signed_graph_triples(
-    max_n: int, max_m: int
-) -> Iterator[tuple[int, tuple[tuple[int, int, Sign], ...]]]:
-    """(n, edge triples (u, v, sign)) for every signed multigraph with
-    1 <= n <= max_n and m <= max_m, in the deterministic order of
-    `SignedGraphOrder`."""
-    return iter(SignedGraphOrder(max_n, max_m))
+        """The graphs by increasing rank, each decoded as `order[k]`."""
+        return map(self.__getitem__, range(len(self)))
 
 
 def generate_signed_graphs(max_n: int, max_m: int) -> Iterator[SignedGraph]:
-    """The graphs of `signed_graph_triples`, in its order."""
-    for n, triples in signed_graph_triples(max_n, max_m):
+    """The graphs of `SignedGraphOrder(max_n, max_m)`, built, in its order."""
+    for n, triples in SignedGraphOrder(max_n, max_m):
         yield SignedGraph.from_triples(n, triples)

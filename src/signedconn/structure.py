@@ -262,14 +262,14 @@ def _ring_order(groups: dict[tuple, set[int]]) -> tuple[frozenset[int], ...]:
 
 
 def detect_necklace(
-    g: SignedGraph, block_edges: frozenset[int]
+    g: SignedGraph, block_edges: Iterable[int]
 ) -> Optional[tuple[frozenset[int], ...]]:
     """Constituents of the block, in ring order, if it is an unbalanced
     necklace of balanced blocks; None otherwise."""
-    dec = block_decomposition(g)
-    match = [b for b in dec.blocks if b.edges == frozenset(block_edges) and b.edges]
+    edges = frozenset(block_edges)
+    match = [b for b in block_decomposition(g).blocks if b.edges == edges and b.edges]
     if not match:
-        raise NotABlock(f"{sorted(block_edges)} is not a block of the graph")
+        raise NotABlock(f"{sorted(edges)} is not a block of the graph")
     # the block may sit beside other unbalanced blocks, which would leave its
     # component without balancing vertices: take them from the block alone
     S = balancing_vertices(g.subgraph_of_edges(match[0].edges))

@@ -60,25 +60,6 @@ class SweepResult:
         return suite not in self.first_failure
 
 
-def _closure_classes(m: int, circuits: Iterable[frozenset[int]]) -> set[frozenset[int]]:
-    parent = list(range(m))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for circ in circuits:
-        ids = sorted(circ)
-        for other in ids[1:]:
-            parent[find(other)] = find(ids[0])
-    classes: dict[int, set[int]] = {}
-    for eid in range(m):
-        classes.setdefault(find(eid), set()).add(eid)
-    return {frozenset(c) for c in classes.values()}
-
-
 @cache
 def _members(m: int) -> tuple[tuple[int, ...], ...]:
     """Per mask on m elements, the elements it holds, in increasing order.
@@ -301,10 +282,10 @@ def _check_suite_4(g: SignedGraph, fail):
     if li != frozenset(range(m)) - in_lift_circuit:
         fail(f"lift coloops {sorted(li)} != circuit-free edges")
         return
-    if set(matroid.frame_components(g).classes) != _closure_classes(m, frame_set):
+    if set(matroid.frame_components(g).classes) != set(oracle.circuit_closure(m, frame_set)):
         fail("frame components differ from circuit closure")
         return
-    if set(matroid.lift_components(g).classes) != _closure_classes(m, lift_set):
+    if set(matroid.lift_components(g).classes) != set(oracle.circuit_closure(m, lift_set)):
         fail("lift components differ from circuit closure")
 
 

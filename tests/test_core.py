@@ -56,6 +56,8 @@ class TestEdge:
             ((Edge(0, -1, 1, 1),), VertexOutOfRange),
             ((Edge(0, 0, 1, 0),), ValueError),
             ((Edge(0, 0, 1, 2),), ValueError),
+            (((0, 0, 1, -1),), TypeError),
+            ((Edge(0, 0, 1, 1), (1, 1, 2, 1)), TypeError),
         ],
     )
     def test_graph_rejects_bad_edges(self, edges, error):

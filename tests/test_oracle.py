@@ -3,10 +3,9 @@ circuit axioms, and the small-graph generator."""
 
 import random
 
-import pytest
 from hypothesis import given, settings
 
-from signedconn import BudgetExceeded, SignedGraph
+from signedconn import SignedGraph
 from signedconn import oracle
 from signedconn.io import fixture
 
@@ -28,48 +27,22 @@ class TestCycleEnumeration:
         assert oracle.chain_sign_table(g) == table and table[0][1] == {1}
 
     def test_unbalanced_triangle(self):
-        cycles = oracle.enumerate_elementary_cycles(fixture("T-"))
+        cycles = oracle.brute_cycles(fixture("T-"))
         assert cycles == [(frozenset({0, 1, 2}), -1)]
 
     def test_digon(self):
-        cycles = oracle.enumerate_elementary_cycles(fixture("NECK2"))
+        cycles = oracle.brute_cycles(fixture("NECK2"))
         assert cycles == [(frozenset({0, 1}), -1)]
 
     def test_k4_has_seven_cycles(self):
-        cycles = oracle.enumerate_elementary_cycles(K4)
+        cycles = oracle.brute_cycles(K4)
         assert len(cycles) == 7
         assert all(s == +1 for _, s in cycles)
         assert sorted(len(c) for c, _ in cycles) == [3, 3, 3, 3, 4, 4, 4]
 
     def test_loops_count(self):
         g = SignedGraph.from_triples(1, [(0, 0, -1), (0, 0, 1)])
-        assert len(oracle.enumerate_elementary_cycles(g)) == 2
-
-
-class TestChainEnumeration:
-    def test_single_negative_edge(self):
-        chains = oracle.enumerate_chains(
-            fixture("N2"), 0, 1, oracle.EnumerationBudget(max_chain_length=3)
-        )
-        assert not chains[+1] and chains[-1]
-
-    def test_closed_chains_at_triangle_vertex(self):
-        chains = oracle.enumerate_chains(
-            fixture("T-"), 0, 0, oracle.EnumerationBudget(max_chain_length=3)
-        )
-        assert chains[+1] and chains[-1]  # empty walk and the triangle
-
-    def test_balanced_positive_graph(self):
-        chains = oracle.enumerate_chains(
-            fixture("T+"), 0, 1, oracle.EnumerationBudget(max_chain_length=6)
-        )
-        assert chains[+1] and not chains[-1]
-
-    def test_budget(self):
-        with pytest.raises(BudgetExceeded):
-            oracle.enumerate_chains(
-                K4, 0, 1, oracle.EnumerationBudget(max_chain_length=8, max_subsets=10)
-            )
+        assert len(oracle.brute_cycles(g)) == 2
 
 
 class TestCircuitFamilies:
@@ -110,6 +83,33 @@ class TestCircuitFamilies:
                         assert any(c3 <= union for c3 in circuits)
 
 
+def _assert_circuit_definitions_agree(g):
+    assert set(oracle.enumerate_frame_circuits(g)) == set(
+        oracle.brute_circuits(g, oracle.frame_independent)
+    ), g
+    assert set(oracle.enumerate_lift_circuits(g)) == set(
+        oracle.brute_circuits(g, oracle.lift_independent)
+    ), g
+
+
+class TestCircuitDefinitionsAgree:
+    """The circuits composed from cycles by shape are the minimal dependent
+    sets of the independence definitions."""
+
+    def test_on_all_graphs_up_to_three_vertices_and_four_edges(self):
+        count = 0
+        for g in oracle.generate_signed_graphs(3, 4):
+            _assert_circuit_definitions_agree(g)
+            count += 1
+        assert count == 2_127
+
+    def test_on_every_eighth_graph_up_to_four_vertices_and_five_edges(self):
+        order = oracle.SignedGraphOrder(4, 5)
+        for k in range(0, len(order), 8):
+            n, triples = order[k]
+            _assert_circuit_definitions_agree(SignedGraph.from_triples(n, triples))
+
+
 class TestRankFromCircuits:
     def test_positive_triangle(self):
         g = fixture("T+")
@@ -145,7 +145,7 @@ class TestGenerator:
     def test_the_graphs_are_the_triples_in_order(self):
         graphs = [(g.n, [(e.u, e.v, e.sign) for e in g.edges])
                   for g in oracle.generate_signed_graphs(4, 5)]
-        triples = [(n, list(t)) for n, t in oracle.signed_graph_triples(4, 5)]
+        triples = [(n, list(t)) for n, t in oracle.SignedGraphOrder(4, 5)]
         assert len(graphs) == 64_480
         assert triples == graphs
 

@@ -245,6 +245,12 @@ class TestDetectNecklace:
             frozenset({1}),
         )
 
+    def test_block_given_as_a_one_shot_iterator(self):
+        g = SignedGraph.from_triples(3, [(0, 1, 1), (1, 2, 1), (1, 2, -1)])
+        want = (frozenset({1}), frozenset({2}))
+        assert detect_necklace(g, [1, 2]) == want
+        assert detect_necklace(g, iter([1, 2])) == want
+
     def test_unbalanced_cycle_splits_per_edge(self):
         g = fixture("T-")
         neck = detect_necklace(g, frozenset({0, 1, 2}))

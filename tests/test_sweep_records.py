@@ -41,8 +41,8 @@ def _nested_loop(max_n, max_m):
 
 
 def test_the_triples_keep_the_nested_loop_order():
-    assert list(oracle.signed_graph_triples(4, 5)) == list(_nested_loop(4, 5))
-    assert list(oracle.signed_graph_triples(0, 3)) == []
+    assert list(oracle.SignedGraphOrder(4, 5)) == list(_nested_loop(4, 5))
+    assert list(oracle.SignedGraphOrder(0, 3)) == []
     assert len(oracle.SignedGraphOrder(0, 3)) == 0
 
 

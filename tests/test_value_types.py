@@ -8,7 +8,6 @@ import pytest
 
 from signedconn import (
     Block,
-    BudgetExceeded,
     CircuitClassification,
     CircuitVerdict,
     ComponentPartition,
@@ -29,7 +28,6 @@ from signedconn import (
     witness_chains,
 )
 from signedconn.io import fixture
-from signedconn.oracle import EnumerationBudget
 from signedconn.structure import Core
 from signedconn.sweep import Violation
 
@@ -45,7 +43,6 @@ SAMPLES = {
     HararyBipartition: lambda: harary_bipartition(fixture("C4")),
     Walk: lambda: chain_with_sign(fixture("T-"), 0, 2, -1),
     CircuitClassification: lambda: classify_circuit(fixture("TIGHT"), range(6)),
-    EnumerationBudget: lambda: EnumerationBudget(max_cycles=7),
     ComponentPartition: lambda: frame_components(fixture("LOOSE")),
     WitnessPair: lambda: witness_chains(fixture("T-"), 0, 1),
     Block: lambda: block_decomposition(fixture("LOOSE")).blocks[0],
@@ -154,12 +151,3 @@ def test_hypercyclic_defaults():
     verdict = HypercyclicVerdict(HypercyclicKind.NOT_HYPERCYCLIC)
     assert verdict.cycle is None
     assert verdict.arm_from_start == verdict.arm_from_end == verdict.shared_segment == frozenset()
-
-
-def test_enumeration_budget_defaults_and_checks():
-    budget = EnumerationBudget()
-    assert (budget.max_cycles, budget.max_chain_length, budget.max_subsets) == (100_000, None, 10_000_000)
-    tight = budget._replace(max_cycles=2)
-    tight.check_cycles(2)
-    with pytest.raises(BudgetExceeded, match="more than 2 cycles"):
-        tight.check_cycles(3)
