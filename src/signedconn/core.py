@@ -100,23 +100,6 @@ class SignedGraph:
         triples = [(self.edges[eid].u, self.edges[eid].v, self.edges[eid].sign) for eid in kept]
         return SignedGraph.from_triples(self.n, triples)
 
-    def delete_edges(self, edge_ids: Iterable[int]) -> "SignedGraph":
-        """Spanning subgraph with the given edges removed (ids re-assigned)."""
-        drop = set(edge_ids)
-        return self.subgraph_of_edges(e.id for e in self.edges if e.id not in drop)
-
-    def delete_vertex(self, x: int) -> "SignedGraph":
-        """Remove x and its incident edges; remaining vertices are renumbered
-        in ascending order, edges densely in ascending original id order."""
-        self.check_vertex(x)
-        remap = {v: i for i, v in enumerate(w for w in range(self.n) if w != x)}
-        triples = [
-            (remap[e.u], remap[e.v], e.sign)
-            for e in self.edges
-            if e.u != x and e.v != x
-        ]
-        return SignedGraph.from_triples(self.n - 1, triples)
-
 
 class _Spine:
     """One iterative depth-first pass over g: Tarjan's (1972) numbering plus

@@ -118,9 +118,9 @@ def _run(g: SignedGraph, ends: dict, start: int, eid: int) -> tuple[int, frozens
         eid = b if a == eid else a
 
 
-def _parity_forest(g: SignedGraph, edge_ids: Iterable[int]) -> tuple[int, int]:
-    """(forest edges, unbalanced components) of the spanning subgraph on the
-    given edges, by union-find with parity, in one loop over the edges.
+def _parity_forest(g: SignedGraph, edge_ids: Iterable[int]) -> tuple[int, int, list, list]:
+    """(forest edges, unbalanced components, parent, parity) of the spanning
+    subgraph on the given edges, by union-find with parity, in one loop.
 
     `parity[v]` is the sign (0 for +, 1 for -) of the path from v to its
     union-find parent; an edge closing a cycle whose parity disagrees with its
@@ -158,13 +158,13 @@ def _parity_forest(g: SignedGraph, edge_ids: Iterable[int]) -> tuple[int, int]:
         elif odd and not unbalanced[u]:
             unbalanced[u] = True
             bad += 1
-    return forest, bad
+    return forest, bad, parent, parity
 
 
 def frame_rank(g: SignedGraph, edge_ids: Iterable[int]) -> int:
     """n minus the number of balanced components of the spanning subgraph:
     its forest edges plus its unbalanced components."""
-    forest, unbalanced = _parity_forest(g, edge_ids)
+    forest, unbalanced, _, _ = _parity_forest(g, edge_ids)
     return forest + unbalanced
 
 
@@ -172,7 +172,7 @@ def lift_rank(g: SignedGraph, edge_ids: Iterable[int]) -> int:
     """n minus the number of components of the spanning subgraph, plus one if
     that subgraph is unbalanced: its forest edges, plus one if any component
     is unbalanced."""
-    forest, unbalanced = _parity_forest(g, edge_ids)
+    forest, unbalanced, _, _ = _parity_forest(g, edge_ids)
     return forest + (1 if unbalanced else 0)
 
 
@@ -312,24 +312,37 @@ def is_quasibalanced(
 
 def _has_partner(g: SignedGraph, block: frozenset[int], cycle: frozenset[int]) -> bool:
     """True iff some negative cycle of the block meets the cycle in at most
-    one vertex.
+    one vertex, in one union-find pass: O(n + |B| alpha).
 
-    Such a cycle shares no edge with it (an edge has two ends), and it lies in
-    the block's edges with no end on the cycle (`free`) plus the edges whose
-    only end on the cycle is x (`attached[x]`), for an x where it touches the
-    cycle, or for any x if it does not.  So it exists iff one of those edge
-    sets is unbalanced.  The block is connected, so `free` is empty when no
-    edge is attached.
+    Such a cycle shares no edge with it (an edge has two ends).  Either it
+    lies in the block's edges with no end on the cycle (`free`), or it leaves
+    one cycle vertex x by two edges whose other ends are off the cycle and
+    closes through `free` (a loop is a block of its own, so none sits at x).
+    With `free` balanced, it is negative iff those two edges reach one free
+    root with opposite parity.
     """
     on_cycle = _vertex_set(g, cycle)
     free: list[int] = []
-    attached: dict[int, list[int]] = {}
+    attached: list[tuple[int, int, bool]] = []
     edges = g.edges
     for eid in block - cycle:
-        _, u, v, _ = edges[eid]
-        ends = {u, v} & on_cycle
-        if not ends:
+        _, u, v, sign = edges[eid]
+        if u not in on_cycle and v not in on_cycle:
             free.append(eid)
-        elif len(ends) == 1:
-            attached.setdefault(ends.pop(), []).append(eid)
-    return any(_parity_forest(g, free + edges)[1] for edges in attached.values())
+        elif u not in on_cycle:
+            attached.append((v, u, sign == -1))
+        elif v not in on_cycle:
+            attached.append((u, v, sign == -1))
+    _, unbalanced, parent, parity = _parity_forest(g, free)
+    if unbalanced:
+        return True
+    reached: dict[tuple[int, int], bool] = {}
+    for x, w, odd in attached:
+        while parent[w] != w:
+            up = parent[w]
+            parity[w] ^= parity[up]
+            odd ^= parity[w]
+            parent[w] = w = parent[up]
+        if reached.setdefault((x, w), odd) != odd:
+            return True
+    return False

@@ -158,18 +158,13 @@ def negative_components(g: SignedGraph) -> ComponentPartition:
     return ComponentPartition("negative", _sorted_classes(classes))
 
 
-def all_negative(g: SignedGraph) -> SignedGraph:
-    """The same underlying multigraph with every edge made negative."""
-    return SignedGraph.from_triples(g.n, [(e.u, e.v, -1) for e in g.edges])
-
-
 def is_parity_connected(g: SignedGraph) -> bool:
     """True iff every vertex pair is joined by walks of both parities.
 
-    Signs on g are ignored: this is sign connection of `all_negative(g)`.  For
-    a connected graph with n >= 2 it means an odd closed walk, that is a
-    non-tree edge (a loop included) joining two vertices of equal depth
-    parity in the spanning tree.
+    Signs on g are ignored: this is sign connection of g with every edge made
+    negative.  For a connected graph with n >= 2 it means an odd closed walk,
+    that is a non-tree edge (a loop included) joining two vertices of equal
+    depth parity in the spanning tree.
     """
     if g.n == 1:
         return True

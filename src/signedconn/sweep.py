@@ -193,7 +193,7 @@ def _balancing_edge_conditions(g: SignedGraph, eid: int) -> tuple[bool, ...]:
     the oracle's."""
     e = g.edge(eid)
 
-    without = g.delete_edges([eid])
+    without = g.subgraph_of_edges(f for f in range(g.m) if f != eid)
     rest = without.spine
     cond1 = not rest.frustrated
 
@@ -322,7 +322,7 @@ def _check_suite_5(g: SignedGraph, fail):
     # (a lone vertex counts as sign connected yet makes the bridge a frame
     # isthmus, so it is excluded).
     for eid in structure.block_decomposition(g).bridges & si:
-        without = g.delete_edges([eid])
+        without = g.subgraph_of_edges(f for f in range(g.m) if f != eid)
         comps, flags = component_balance(without)
         e = g.edges[eid]
         sides = [
@@ -503,7 +503,7 @@ def _check_suite_9(g: SignedGraph, fail):
         return
     if sign_connected:
         for eid in range(g.m):
-            without = g.delete_edges([eid])
+            without = g.subgraph_of_edges(f for f in range(g.m) if f != eid)
             comps, _ = component_balance(without)
             if len(comps) < 2:
                 continue

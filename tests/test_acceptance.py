@@ -92,16 +92,6 @@ def _o_sign_connected(g):
     )
 
 
-def _o_sign_isthmi(g):
-    return sorted(
-        e for e in range(g.m) if not _o_sign_connected(g.delete_edges([e]))
-    )
-
-
-def _o_sign_articulation(g):
-    return sorted(x for x in range(g.n) if not _o_sign_connected(g.delete_vertex(x)))
-
-
 def _o_balancing_vertices(g):
     out = []
     for x in range(g.n):
@@ -142,8 +132,10 @@ def _recompute_derived():
     g = {name: fixture(name) for name in io.FIXTURE_NAMES}
     return {
         "T-": {
-            "sign_isthmi": _o_sign_isthmi(g["T-"]),
-            "sign_articulation_vertices": _o_sign_articulation(g["T-"]),
+            "sign_isthmi": sorted(oracle.brute_sign_isthmi(g["T-"])),
+            "sign_articulation_vertices": sorted(
+                oracle.brute_sign_articulation_vertices(g["T-"])
+            ),
             "balancing_edges": sorted(oracle.brute_balancing_edges(g["T-"])),
             "frame_rank_all": _o_rank_all(g["T-"], "frame"),
             "lift_rank_all": _o_rank_all(g["T-"], "lift"),
@@ -156,15 +148,19 @@ def _recompute_derived():
             "balancing_edges": sorted(oracle.brute_balancing_edges(g["T+"])),
         },
         "TIGHT": {
-            "sign_isthmi": _o_sign_isthmi(g["TIGHT"]),
-            "sign_articulation_vertices": _o_sign_articulation(g["TIGHT"]),
+            "sign_isthmi": sorted(oracle.brute_sign_isthmi(g["TIGHT"])),
+            "sign_articulation_vertices": sorted(
+                oracle.brute_sign_articulation_vertices(g["TIGHT"])
+            ),
             "quasibalanced": oracle.brute_is_quasibalanced(g["TIGHT"]),
             "frame_circuits": _o_circuits(g["TIGHT"], "frame"),
             "lift_circuits": _o_circuits(g["TIGHT"], "lift"),
         },
         "LOOSE": {
-            "sign_isthmi": _o_sign_isthmi(g["LOOSE"]),
-            "sign_articulation_vertices": _o_sign_articulation(g["LOOSE"]),
+            "sign_isthmi": sorted(oracle.brute_sign_isthmi(g["LOOSE"])),
+            "sign_articulation_vertices": sorted(
+                oracle.brute_sign_articulation_vertices(g["LOOSE"])
+            ),
             "balancing_edges": sorted(oracle.brute_balancing_edges(g["LOOSE"])),
             "lift_rank_all": _o_rank_all(g["LOOSE"], "lift"),
             "frame_coloops": _o_coloops(g["LOOSE"], "frame"),
@@ -189,7 +185,7 @@ def _recompute_derived():
         },
         "DISJB": {
             "sign_block": _o_sign_connected(g["DISJB"])
-            and not _o_sign_articulation(g["DISJB"])
+            and not oracle.brute_sign_articulation_vertices(g["DISJB"])
         },
         "THETA": {
             "contrabalanced": oracle.brute_is_contrabalanced(g["THETA"]),

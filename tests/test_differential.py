@@ -155,7 +155,7 @@ def _deletion_cut_vertices(g):
     """Vertices whose deletion leaves more components than g has."""
     k = len(connected_components(g))
     return frozenset(
-        v for v in range(g.n) if len(connected_components(g.delete_vertex(v))) > k
+        v for v in range(g.n) if len(connected_components(_delete_vertex(g, v)[0])) > k
     )
 
 

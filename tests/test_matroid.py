@@ -2,6 +2,7 @@
 
 import random
 import signal
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -23,7 +24,8 @@ from signedconn import (
     lift_isthmi,
     lift_rank,
 )
-from signedconn import _cycles, oracle
+from signedconn import _cycles, block_decomposition, matroid, oracle
+from signedconn.core import _vertex_set
 from signedconn.io import fixture
 
 from conftest import complete_with_two_negative_edges, graphs
@@ -351,6 +353,54 @@ class TestConnectionFlags:
         assert not is_frame_connected(g) and not is_lift_connected(g)
 
 
+def _reference_has_partner(g, block, cycle):
+    """The partner test as it ran one parity forest per cycle vertex with
+    attached edges, O(|C| (n + |B|)): the reference for
+    `matroid._has_partner`, which runs one forest and scans those edges once."""
+    on_cycle = _vertex_set(g, cycle)
+    free: list[int] = []
+    attached: dict[int, list[int]] = {}
+    edges = g.edges
+    for eid in block - cycle:
+        _, u, v, _ = edges[eid]
+        ends = {u, v} & on_cycle
+        if not ends:
+            free.append(eid)
+        elif len(ends) == 1:
+            attached.setdefault(ends.pop(), []).append(eid)
+    return any(matroid._parity_forest(g, free + edges)[1] for edges in attached.values())
+
+
+def _seeded_multigraphs(count, seed, max_n):
+    """n from 2 to max_n, m from n to 2n + 3, loops and parallel edges."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, max_n)
+        m = rng.randint(n, 2 * n + 3)
+        yield SignedGraph.from_triples(
+            n, [(rng.randrange(n), rng.randrange(n), rng.choice((1, -1))) for _ in range(m)]
+        )
+
+
+def _negative_cycles_of_unbalanced_blocks(g, cycles):
+    for es, _, balanced, _, _ in block_decomposition(g).rows:
+        if not balanced:
+            block = frozenset(es)
+            for cycle, sign in cycles(g, block):
+                if sign == -1:
+                    yield block, cycle
+
+
+def _mobius_ladder_with_a_digon(n):
+    """Rim 0..n-1 with rungs i-(i + n/2), the two twist edges negative, and a
+    negative edge beside rim edge (n-3, n-2): not quasibalanced, and the
+    digon is far from the frustrated edges' fundamental cycles."""
+    half = n // 2
+    rim = [(i, (i + 1) % n, -1 if i in (half - 1, n - 1) else 1) for i in range(n)]
+    rungs = [(i, i + half, 1) for i in range(half)]
+    return SignedGraph.from_triples(n, rim + rungs + [(n - 3, n - 2, -1)])
+
+
 class TestQuasibalance:
     def test_single_negative_cycle(self):
         assert is_quasibalanced(fixture("T-"))
@@ -380,3 +430,50 @@ class TestQuasibalance:
         # the triangles 014 and 234 meet in one vertex; no cycle is streamed
         g = complete_with_two_negative_edges(n)
         assert is_quasibalanced(g, max_cycles=0) is False
+
+    def test_the_partner_test_matches_its_reference(self):
+        answers = Counter()
+        for g in _seeded_multigraphs(3000, 5, 9):
+            for block, cycle in _negative_cycles_of_unbalanced_blocks(g, _cycles.iter_cycles):
+                got = matroid._has_partner(g, block, cycle)
+                assert got == _reference_has_partner(g, block, cycle), (g, cycle)
+                answers[got] += 1
+        assert min(answers.values()) >= 1000, answers
+
+    def test_the_partner_test_matches_the_oracle(self):
+        # a partner is another negative cycle of the block meeting the cycle
+        # in at most one vertex, read off the oracle's cycles
+        answers = Counter()
+        for g in _seeded_multigraphs(1500, 6, 5):
+            cycles = oracle.brute_cycles(g)
+            for block, cycle in _negative_cycles_of_unbalanced_blocks(
+                g, lambda g, block: [(c, s) for c, s in cycles if c <= block]
+            ):
+                on_cycle = _vertex_set(g, cycle)
+                want = any(
+                    s == -1 and c != cycle and c <= block
+                    and len(_vertex_set(g, c) & on_cycle) <= 1
+                    for c, s in cycles
+                )
+                assert matroid._has_partner(g, block, cycle) == want, (g, cycle)
+                answers[want] += 1
+            assert is_quasibalanced(g) == oracle.brute_is_quasibalanced(g), g
+        assert min(answers.values()) >= 1000, answers
+
+    @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs an interval timer")
+    def test_the_partner_test_takes_one_pass(self):
+        # one parity forest per cycle vertex took 46.6 s at n = 16,000, and a
+        # scan whose find does not halve paths runs past the alarm at 64,000;
+        # one halving pass answers in under a second on a 2-vCPU machine
+        g = _mobius_ladder_with_a_digon(64_000)
+
+        def too_slow(signum, frame):
+            raise TimeoutError("quasibalance of the ladder took over 10 s")
+
+        before = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 10)
+        try:
+            assert is_quasibalanced(g) is False
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, before)

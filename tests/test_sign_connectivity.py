@@ -209,6 +209,5 @@ class TestParityConnection:
 
     @given(graphs())
     def test_signs_are_ignored(self, g):
-        from signedconn.sign_connectivity import all_negative
-
-        assert is_parity_connected(g) == is_parity_connected(all_negative(g))
+        negative = SignedGraph.from_triples(g.n, [(e.u, e.v, -1) for e in g.edges])
+        assert is_parity_connected(g) == is_parity_connected(negative)

@@ -5,6 +5,7 @@ on n is refused."""
 
 import multiprocessing
 import os
+import random
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -12,20 +13,6 @@ import pytest
 from signedconn import SignedGraph, oracle, sweep
 
 FORK = "fork" in multiprocessing.get_all_start_methods()
-
-
-def test_every_rank_decodes_to_the_generated_graph():
-    order = oracle.SignedGraphOrder(4, 5)
-    graphs = oracle.generate_signed_graphs(4, 5)
-    count = 0
-    for k, g in enumerate(graphs):
-        n, triples = order[k]
-        assert SignedGraph.from_triples(n, triples) == g
-        count += 1
-    assert count == len(order) == 64_480
-    for k in (-1, count):
-        with pytest.raises(IndexError):
-            order[k]
 
 
 def _nested_loop(max_n, max_m):
@@ -38,6 +25,23 @@ def _nested_loop(max_n, max_m):
                     continue
                 for signs in product((+1, -1), repeat=m):
                     yield n, tuple([(u, v, s) for (u, v), s in zip(combo, signs)])
+
+
+def test_every_rank_decodes_to_the_generated_graph():
+    # ranks are decoded in a seeded shuffled order, so that one decode
+    # follows another from any group of the order
+    reference = list(_nested_loop(4, 5))
+    order = oracle.SignedGraphOrder(4, 5)
+    assert len(order) == len(reference) == 64_480
+    ranks = list(range(len(order)))
+    random.Random(5).shuffle(ranks)
+    for k in ranks:
+        assert order[k] == reference[k]
+    for (n, triples), g in zip(reference, oracle.generate_signed_graphs(4, 5), strict=True):
+        assert g == SignedGraph.from_triples(n, triples)
+    for k in (-1, len(order)):
+        with pytest.raises(IndexError):
+            order[k]
 
 
 def test_the_triples_keep_the_nested_loop_order():
