@@ -22,6 +22,19 @@ class CircuitVerdict(str, Enum):
     NOT_A_CIRCUIT = "not-a-circuit"
 
 
+# built once: an enum member looked up on its class costs more than the test
+_FRAME_VERDICTS = (
+    CircuitVerdict.POSITIVE_CYCLE,
+    CircuitVerdict.TIGHT_HANDCUFF,
+    CircuitVerdict.LOOSE_HANDCUFF,
+)
+_LIFT_VERDICTS = (
+    CircuitVerdict.POSITIVE_CYCLE,
+    CircuitVerdict.TIGHT_HANDCUFF,
+    CircuitVerdict.DISJOINT_PAIR,
+)
+
+
 class CircuitClassification(NamedTuple):
     verdict: CircuitVerdict
     cycles: tuple[frozenset[int], ...] = ()
@@ -29,19 +42,11 @@ class CircuitClassification(NamedTuple):
 
     @property
     def in_frame(self) -> bool:
-        return self.verdict in (
-            CircuitVerdict.POSITIVE_CYCLE,
-            CircuitVerdict.TIGHT_HANDCUFF,
-            CircuitVerdict.LOOSE_HANDCUFF,
-        )
+        return self.verdict in _FRAME_VERDICTS
 
     @property
     def in_lift(self) -> bool:
-        return self.verdict in (
-            CircuitVerdict.POSITIVE_CYCLE,
-            CircuitVerdict.TIGHT_HANDCUFF,
-            CircuitVerdict.DISJOINT_PAIR,
-        )
+        return self.verdict in _LIFT_VERDICTS
 
 
 _NOT_A_CIRCUIT = CircuitClassification(CircuitVerdict.NOT_A_CIRCUIT)
@@ -64,21 +69,22 @@ def classify_circuit(g: SignedGraph, edge_ids: Iterable[int]) -> CircuitClassifi
     or two negative cycles and at most one chain (three make a theta).
     """
     F = frozenset(edge_ids)
-    edges, m = g.edges, g.m
+    edges = g.edges
+    m = len(edges)
     degree: dict[int, int] = {}
     for eid in F:
         if not 0 <= eid < m:
             raise EdgeOutOfRange(f"edge id {eid} out of range")
-        e = edges[eid]
-        degree[e.u] = degree.get(e.u, 0) + 1
-        degree[e.v] = degree.get(e.v, 0) + 1
+        _, u, v, _ = edges[eid]
+        degree[u] = degree.get(u, 0) + 1
+        degree[v] = degree.get(v, 0) + 1
     if not 0 <= len(F) - len(degree) <= 1 or 1 in degree.values():
         return _NOT_A_CIRCUIT
     ends: dict[int, list[int]] = {v: [] for v in degree}
     for eid in F:
-        e = edges[eid]
-        ends[e.u].append(eid)
-        ends[e.v].append(eid)
+        _, u, v, _ = edges[eid]
+        ends[u].append(eid)
+        ends[v].append(eid)
     used: set[int] = set()
     closed: list[tuple[frozenset[int], int]] = []
     chains: list[frozenset[int]] = []
@@ -106,12 +112,12 @@ def classify_circuit(g: SignedGraph, edge_ids: Iterable[int]) -> CircuitClassifi
 def _run(g: SignedGraph, ends: dict, start: int, eid: int) -> tuple[int, frozenset[int], int]:
     """(last vertex, edges, sign) of the run that leaves `start` by edge eid
     and goes on through degree-2 vertices until back at `start` or a branch."""
-    run, sign, v = [], 1, start
+    edges, run, sign, v = g.edges, [], 1, start
     while True:
         run.append(eid)
-        e = g.edges[eid]
-        sign *= e.sign
-        v = e.other(v)
+        _, x, y, s = edges[eid]
+        sign *= s
+        v = y if v == x else x
         if v == start or len(ends[v]) != 2:
             return v, frozenset(run), sign
         a, b = ends[v]
@@ -129,16 +135,17 @@ def _parity_forest(g: SignedGraph, edge_ids: Iterable[int]) -> tuple[int, int, l
     grandparent, so a long chain, such as a star listed leaf by leaf from
     its centre, is not walked again in full.  The unbalanced roots are counted as they form.
     """
-    edges, m = g.edges, g.m
-    parent = list(range(g.n))
-    parity = [0] * g.n
-    unbalanced = [False] * g.n
+    edges, n = g.edges, g.n
+    m = len(edges)
+    parent = list(range(n))
+    parity = [0] * n
+    unbalanced = [False] * n
     forest = bad = 0
     for eid in edge_ids:
         if not 0 <= eid < m:
             raise EdgeOutOfRange(f"edge id {eid} out of range")
-        e = edges[eid]
-        u, v, odd = e.u, e.v, e.sign == -1
+        _, u, v, sign = edges[eid]
+        odd = sign == -1
         while parent[u] != u:
             up = parent[u]
             parity[u] ^= parity[up]

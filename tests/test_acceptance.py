@@ -83,15 +83,6 @@ def test_criterion_09_quasibalance(sweep_result):
 # and (c) replays the documented CLI invocations on emitted fixture files.
 
 
-def _o_sign_connected(g):
-    if g.n == 1:
-        return True
-    table = oracle.chain_sign_table(g)
-    return all(
-        len(table[x][y]) == 2 for x in range(g.n) for y in range(g.n) if x != y
-    )
-
-
 def _o_balancing_vertices(g):
     out = []
     for x in range(g.n):
@@ -184,7 +175,7 @@ def _recompute_derived():
             ],
         },
         "DISJB": {
-            "sign_block": _o_sign_connected(g["DISJB"])
+            "sign_block": oracle._both_signs_everywhere(g["DISJB"])
             and not oracle.brute_sign_articulation_vertices(g["DISJB"])
         },
         "THETA": {

@@ -383,6 +383,55 @@ def test_suite_4_catches_one_wrong_answer(monkeypatch, name, fault, message):
     assert [(v.suite, v.message) for v in found] == [(4, message)]
 
 
+@pytest.fixture
+def fresh_family_memo():
+    """Suite 4's circuit-family memo emptied before and after the test: an
+    entry built from a patched oracle function reaches no later test and no
+    worker forked later."""
+    sweep._family.cache_clear()
+    yield
+    sweep._family.cache_clear()
+
+
+def _twin(g, switched):
+    """g with its vertices numbered backwards and the vertices `switched`
+    switched: another graph whose oracle circuits are g's, edge for edge."""
+    flip = {v: -1 if v in switched else 1 for v in range(g.n)}
+    return SignedGraph.from_triples(
+        g.n, [(g.n - 1 - e.u, g.n - 1 - e.v, e.sign * flip[e.u] * flip[e.v]) for e in g.edges]
+    )
+
+
+@pytest.mark.parametrize(
+    "name, fault, message", _SUITE_4_FAULTS, ids=[f[0] for f in _SUITE_4_FAULTS]
+)
+def test_suite_4_memo_hides_no_fault_of_another_graph(
+    monkeypatch, fresh_family_memo, name, fault, message
+):
+    # LOOSE fills its frame and lift families; its twin only reads them
+    loose, twin = fixture("LOOSE"), _twin(fixture("LOOSE"), {1, 4})
+    assert twin.edges != loose.edges
+    assert sweep.check_graph(loose, [4]) == []
+    filled = sweep._family.cache_info()
+    assert filled.currsize == 2
+    monkeypatch.setattr(matroid, name, fault(getattr(matroid, name)))
+    found = sweep.check_graph(twin, [4])
+    assert [(v.suite, v.message) for v in found] == [(4, message)]
+    read = sweep._family.cache_info()
+    assert (read.currsize, read.hits - filled.hits) == (2, 2)
+
+
+def test_suite_4_memo_tells_families_on_as_many_edges_apart(fresh_family_memo):
+    # a positive triangle has one circuit on its three edges; a path, none
+    triangle = SignedGraph.from_triples(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
+    path = SignedGraph.from_triples(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+    assert sweep.check_graph(triangle, [4]) == []
+    assert sweep.check_graph(path, [4]) == []
+    assert sweep._family.cache_info().currsize == 2
+    assert sweep._family(3, frozenset({0b111})).ranks == (0, 1, 1, 2, 1, 2, 2, 2)
+    assert sweep._family(3, frozenset()).ranks == (0, 1, 1, 2, 1, 2, 2, 3)
+
+
 # set functions that break one rank axiom each, and the first violation
 # suite 4 reports for them
 _BROKEN_RANKS = [
@@ -393,7 +442,7 @@ _BROKEN_RANKS = [
 
 
 @pytest.mark.parametrize("rank, message", _BROKEN_RANKS, ids=["empty", "unit", "submodular"])
-def test_suite_4_checks_the_rank_axioms(monkeypatch, rank, message):
+def test_suite_4_checks_the_rank_axioms(monkeypatch, fresh_family_memo, rank, message):
     # the library's ranks and the oracle's tables agree, but break an axiom
     for name in ("frame_rank", "lift_rank"):
         monkeypatch.setattr(matroid, name, lambda g, edge_ids: rank(_mask(edge_ids)))
