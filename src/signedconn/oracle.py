@@ -109,44 +109,48 @@ def _cycle_vertices(g: SignedGraph, cyc: frozenset[int]) -> frozenset[int]:
     return frozenset(vs)
 
 
+def _negative_pairs(
+    g: SignedGraph,
+) -> tuple[tuple[frozenset[int], frozenset[int], frozenset[int], frozenset[int], int, bool], ...]:
+    """(c1, c2, v1, v2, meet, shares) for every pair of negative cycles of
+    `brute_cycles(g)`, in list order: their edge sets, their vertex sets,
+    how many vertices they share, and whether they share an edge.  Computed
+    once per graph object and kept on it."""
+    memo = vars(g)
+    if "_oracle_negative_pairs" not in memo:
+        neg = [(c, _cycle_vertices(g, c)) for c, s in brute_cycles(g) if s == -1]
+        memo["_oracle_negative_pairs"] = tuple(
+            (c1, c2, v1, v2, len(v1 & v2), not c1.isdisjoint(c2))
+            for (c1, v1), (c2, v2) in combinations(neg, 2)
+        )
+    return memo["_oracle_negative_pairs"]
+
+
 def brute_is_quasibalanced(g: SignedGraph) -> bool:
-    vsets = [_cycle_vertices(g, c) for c, s in brute_cycles(g) if s == -1]
-    return all(
-        len(vsets[i] & vsets[j]) >= 2
-        for i in range(len(vsets))
-        for j in range(i + 1, len(vsets))
-    )
+    """Every two negative cycles share at least two vertices."""
+    return all(meet >= 2 for *_, meet, _ in _negative_pairs(g))
 
 
 # ---------------------------------------------------------------------------
 # chain signs by the closure of walk states
 
-def chain_sign_table(g: SignedGraph) -> list[list[frozenset[Sign]]]:
-    """table[x][y] = set of signs realized by chains from x to y.  Computed
-    once per graph object and kept on it; each call returns new lists."""
-    memo = vars(g)
-    if "_oracle_chain_signs" not in memo:
-        memo["_oracle_chain_signs"] = _chain_signs(g)
-    return [list(row) for row in memo["_oracle_chain_signs"]]
+def _closure(n: int, triples: Iterable[tuple[int, int, Sign]]) -> Iterator[list[int]]:
+    """Per start x = 0, 1, ... in turn, the closure of the walk states
+    (vertex, accumulated sign) from (x, +1), as one row of sign bits per
+    vertex: 1 for a positive chain from x, 2 for a negative one.
 
-
-# the signs of the chains from x to a vertex, by the bits that record them:
-# 1 for a positive chain, 2 for a negative one
-_SIGN_SETS = (frozenset(), frozenset({+1}), frozenset({-1}), frozenset({+1, -1}))
-
-
-def _chain_signs(g: SignedGraph) -> tuple[tuple[frozenset[Sign], ...], ...]:
-    """Per start x, the closure of the walk states (vertex, accumulated
-    sign) from (x, +1): a worklist in which each of the 2n states is
-    expanded once, when it is first reached.  A negative edge swaps the
-    sign bits 1 and 2 (xor 3)."""
-    steps = [
-        [(e.v if e.u == v else e.u, 3 if e.sign < 0 else 0) for e in edges]
-        for v, edges in enumerate(g.adjacency)
-    ]
-    table = []
-    for x in range(g.n):
-        reached = [0] * g.n
+    The adjacency is built here from the edge triples (a loop listed once at
+    its vertex); each of the 2n states is expanded once, when it is first
+    reached, and a negative edge swaps the bits 1 and 2 (xor 3).  The rows
+    come one start at a time, so a caller may stop at any start."""
+    steps: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v, sign in triples:
+        flip = 3 if sign < 0 else 0
+        steps[u].append((v, flip))
+        if v != u:
+            steps[v].append((u, flip))
+    for x in range(n):
+        reached = [0] * n
         reached[x] = 1
         todo = [(x, 1)]
         while todo:
@@ -156,16 +160,38 @@ def _chain_signs(g: SignedGraph) -> tuple[tuple[frozenset[Sign], ...], ...]:
                 if not reached[w] & b:
                     reached[w] |= b
                     todo.append((w, b))
-        table.append(tuple(_SIGN_SETS[bits] for bits in reached))
-    return tuple(table)
+        yield reached
+
+
+def _triples(g: SignedGraph) -> list[tuple[int, int, Sign]]:
+    return [(u, v, sign) for _, u, v, sign in g.edges]
+
+
+def _chain_sign_rows(g: SignedGraph) -> tuple[tuple[int, ...], ...]:
+    """The `_closure` of g, row x for start x.  Computed once per graph
+    object and kept on it; read it, do not change it."""
+    memo = vars(g)
+    if "_oracle_chain_signs" not in memo:
+        memo["_oracle_chain_signs"] = tuple(map(tuple, _closure(g.n, _triples(g))))
+    return memo["_oracle_chain_signs"]
+
+
+# the signs of the chains from x to a vertex, by the bits that record them
+_SIGN_SETS = (frozenset(), frozenset({+1}), frozenset({-1}), frozenset({+1, -1}))
+
+
+def chain_sign_table(g: SignedGraph) -> list[list[frozenset[Sign]]]:
+    """table[x][y] = set of signs realized by chains from x to y, read off
+    the kept closure; each call returns new lists."""
+    return [[_SIGN_SETS[bits] for bits in row] for row in _chain_sign_rows(g)]
 
 
 def brute_sign_components(g: SignedGraph) -> list[frozenset[int]]:
     """Classes of the both-signs-reachable relation, with a transitivity
     check (each class must be a clique of the relation)."""
-    table = chain_sign_table(g)
     related = [
-        [len(table[x][y]) == 2 or x == y for y in range(g.n)] for x in range(g.n)
+        [bits == 3 or x == y for y, bits in enumerate(row)]
+        for x, row in enumerate(_chain_sign_rows(g))
     ]
     classes = _relation_components(related)
     for cls in classes:
@@ -176,8 +202,7 @@ def brute_sign_components(g: SignedGraph) -> list[frozenset[int]]:
 
 
 def brute_positive_components(g: SignedGraph) -> list[frozenset[int]]:
-    table = chain_sign_table(g)
-    related = [[+1 in table[x][y] for y in range(g.n)] for x in range(g.n)]
+    related = [[bits & 1 == 1 for bits in row] for row in _chain_sign_rows(g)]
     classes = _relation_components(related)
     for cls in classes:
         for x in cls:
@@ -189,8 +214,7 @@ def brute_positive_components(g: SignedGraph) -> list[frozenset[int]]:
 def brute_negative_components(g: SignedGraph) -> list[frozenset[int]]:
     """Classes of negative connection closed through common negative
     neighbors (the relation itself need not be transitive)."""
-    table = chain_sign_table(g)
-    neg = [[-1 in table[x][y] for y in range(g.n)] for x in range(g.n)]
+    neg = [[bits & 2 == 2 for bits in row] for row in _chain_sign_rows(g)]
     related = [
         [
             x == y
@@ -228,16 +252,13 @@ def enumerate_frame_circuits(g: SignedGraph) -> list[frozenset[int]]:
     """Positive cycles, pairs of negative cycles meeting in one vertex, and
     vertex-disjoint negative cycle pairs joined by a connecting chain --
     composed directly from the cycles of `brute_cycles`."""
-    cycles = brute_cycles(g)
-    out = {c for c, s in cycles if s == +1}
-    neg = [(c, _cycle_vertices(g, c)) for c, s in cycles if s == -1]
-    for (c1, v1), (c2, v2) in combinations(neg, 2):
-        if c1 & c2:
+    out = {c for c, s in brute_cycles(g) if s == +1}
+    for c1, c2, v1, v2, meet, shares in _negative_pairs(g):
+        if shares:
             continue
-        shared = v1 & v2
-        if len(shared) == 1:
+        if meet == 1:
             out.add(c1 | c2)
-        elif not shared:
+        elif not meet:
             for path in _connecting_paths(g, v1, v2):
                 out.add(c1 | c2 | path)
     return sorted(out, key=lambda c: (len(c), sorted(c)))
@@ -246,13 +267,10 @@ def enumerate_frame_circuits(g: SignedGraph) -> list[frozenset[int]]:
 def enumerate_lift_circuits(g: SignedGraph) -> list[frozenset[int]]:
     """Positive cycles, pairs of negative cycles meeting in one vertex, and
     bare vertex-disjoint negative cycle pairs."""
-    cycles = brute_cycles(g)
-    out = {c for c, s in cycles if s == +1}
-    neg = [(c, _cycle_vertices(g, c)) for c, s in cycles if s == -1]
-    for (c1, v1), (c2, v2) in combinations(neg, 2):
-        if c1 & c2 or len(v1 & v2) > 1:
-            continue
-        out.add(c1 | c2)
+    out = {c for c, s in brute_cycles(g) if s == +1}
+    for c1, c2, _, _, meet, shares in _negative_pairs(g):
+        if not shares and meet <= 1:
+            out.add(c1 | c2)
     return sorted(out, key=lambda c: (len(c), sorted(c)))
 
 
@@ -445,36 +463,36 @@ def brute_balancing_edges(g: SignedGraph) -> frozenset[int]:
     return frozenset(out)
 
 
-def _both_signs_everywhere(g: SignedGraph) -> bool:
-    """Every two distinct vertices are joined by chains of both signs
-    (vacuous with fewer than two vertices)."""
-    table = chain_sign_table(g)
+def _both_signs_everywhere(n: int, triples: Iterable[tuple[int, int, Sign]]) -> bool:
+    """Every two distinct vertices of the graph on n vertices with these
+    edge triples are joined by chains of both signs (vacuous with fewer than
+    two vertices).  Stops at the first start that misses a sign."""
     return all(
-        len(table[x][y]) == 2 for x in range(g.n) for y in range(g.n) if x != y
+        all(bits == 3 for y, bits in enumerate(row) if y != x)
+        for x, row in enumerate(_closure(n, triples))
     )
 
 
 def brute_sign_isthmi(g: SignedGraph) -> frozenset[int]:
     """Edges whose deletion leaves some vertex pair without chains of both
     signs."""
-    out = set()
-    for eid in range(g.m):
-        rest = [(e.u, e.v, e.sign) for e in g.edges if e.id != eid]
-        if not _both_signs_everywhere(SignedGraph.from_triples(g.n, rest)):
-            out.add(eid)
-    return frozenset(out)
+    triples = _triples(g)
+    return frozenset(
+        eid
+        for eid in range(g.m)
+        if not _both_signs_everywhere(g.n, triples[:eid] + triples[eid + 1:])
+    )
 
 
 def brute_sign_articulation_vertices(g: SignedGraph) -> frozenset[int]:
     """Vertices whose deletion, with their edges, leaves some pair of the
     remaining vertices without chains of both signs."""
+    triples = _triples(g)
     out = set()
     for x in range(g.n):
         label = {v: i for i, v in enumerate(w for w in range(g.n) if w != x)}
-        rest = [
-            (label[e.u], label[e.v], e.sign) for e in g.edges if x not in (e.u, e.v)
-        ]
-        if not _both_signs_everywhere(SignedGraph.from_triples(g.n - 1, rest)):
+        rest = [(label[u], label[v], sign) for u, v, sign in triples if x not in (u, v)]
+        if not _both_signs_everywhere(g.n - 1, rest):
             out.add(x)
     return frozenset(out)
 

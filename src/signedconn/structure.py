@@ -309,16 +309,20 @@ class Theta(NamedTuple):
 
 
 def contains_theta(g: SignedGraph) -> Optional[Theta]:
-    """A theta subgraph if one exists (the witness that g is not a cactus)."""
-    dec = block_decomposition(g)
-    for b in dec.blocks:
-        if len(b.edges) > len(b.vertices):
-            return _extract_theta(g, b)
-    return None
+    """A theta subgraph if one exists (the witness that g is not a cactus),
+    taken from the first block with more edges than vertices in the order
+    of `blocks`: by smallest vertex, then smallest edge."""
+    rows = [row for row in block_decomposition(g).rows if len(row[0]) > len(row[1])]
+    if not rows:
+        return None
+    # two blocks share no edge, so no two rows tie
+    es = min(rows, key=lambda r: (min(r[1]), min(r[0])))[0]
+    return _extract_theta(g, frozenset(es))
 
 
-def _extract_theta(g: SignedGraph, block: Block) -> Theta:
-    """A theta from two fundamental cycles of the block that share a tree edge.
+def _extract_theta(g: SignedGraph, block_edges: frozenset[int]) -> Theta:
+    """A theta from two fundamental cycles of the block, given by its edges,
+    that share a tree edge.
 
     Walking up the spine from each non-tree edge of the block, each tree edge
     is claimed by the first edge to reach it; the first walk to reach a
@@ -335,7 +339,7 @@ def _extract_theta(g: SignedGraph, block: Block) -> Theta:
     claimed: dict[int, tuple[int, int, int]] = {}
     for edge in sp.nontree:
         eid, v, a = edge
-        if eid not in block.edges:
+        if eid not in block_edges:
             continue
         while v != a:
             t = sp.parent_edge[v]

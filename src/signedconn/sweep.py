@@ -215,28 +215,30 @@ def _check_suite_2(g: SignedGraph, fail):
         return
     if not is_connected(g):
         return
+    cycles = oracle.brute_cycles(g)
     for eid in range(g.m):
-        rep = _balancing_edge_conditions(g, eid)
+        rep = _balancing_edge_conditions(g, eid, cycles)
         if len(set(rep)) != 1:
             fail(f"edge {eid}: conditions disagree {rep}")
             return
 
 
-def _balancing_edge_conditions(g: SignedGraph, eid: int) -> tuple[bool, ...]:
+def _balancing_edge_conditions(
+    g: SignedGraph, eid: int, cycles: list[tuple[frozenset[int], int]]
+) -> tuple[bool, ...]:
     """The five equivalent characterizations of a balancing edge on a
     connected unbalanced graph, evaluated independently of each other:
     deleting the edge balances the graph; it lies on every negative cycle;
     on every negative cycle and on no positive one; it is no isthmus and its
     sign differs from that of the chains between its ends once it is
-    deleted; switching can make it the lone negative edge.  The cycles are
-    the oracle's."""
+    deleted; switching can make it the lone negative edge.  `cycles` are
+    the oracle's, `oracle.brute_cycles(g)`."""
     e = g.edge(eid)
 
-    without = g.subgraph_of_edges(f for f in range(g.m) if f != eid)
+    without = _without(g, eid)
     rest = without.spine
     cond1 = not rest.frustrated
 
-    cycles = oracle.brute_cycles(g)
     cond2 = all(eid in c for c, s in cycles if s == -1)
     cond3 = cond2 and not any(eid in c for c, s in cycles if s == +1)
 
@@ -256,6 +258,16 @@ def _balancing_edge_conditions(g: SignedGraph, eid: int) -> tuple[bool, ...]:
             # endpoints in different components: flip one side freely
             cond5 = True
     return cond1, cond2, cond3, cond4, cond5
+
+
+def _without(g: SignedGraph, eid: int) -> SignedGraph:
+    """g less edge eid, built once per graph object and edge and kept on g:
+    suites 2, 5 and 9 check the same deletion.  Every library answer is
+    still asked of it by each suite."""
+    kept = vars(g).setdefault("_sweep_without", {})
+    if eid not in kept:
+        kept[eid] = g.subgraph_of_edges(f for f in range(g.m) if f != eid)
+    return kept[eid]
 
 
 def _check_suite_3(g: SignedGraph, fail):
@@ -366,7 +378,7 @@ def _check_suite_5(g: SignedGraph, fail):
     # (a lone vertex counts as sign connected yet makes the bridge a frame
     # isthmus, so it is excluded).
     for eid in structure.block_decomposition(g).bridges & si:
-        without = g.subgraph_of_edges(f for f in range(g.m) if f != eid)
+        without = _without(g, eid)
         comps, flags = component_balance(without)
         e = g.edges[eid]
         sides = [
@@ -524,7 +536,7 @@ def _check_suite_9(g: SignedGraph, fail):
     if qb != oracle.brute_is_quasibalanced(g):
         fail(f"is_quasibalanced={qb} disagrees with pairwise intersection test")
         return
-    unbal_blocks = sum(1 for b in structure.block_decomposition(g).blocks if not b.balanced)
+    unbal_blocks = sum(1 for row in structure.block_decomposition(g).rows if not row[2])
     if unbal_blocks >= 2 and qb:
         fail("two unbalanced blocks but reported quasibalanced")
         return
@@ -547,7 +559,7 @@ def _check_suite_9(g: SignedGraph, fail):
         return
     if sign_connected:
         for eid in range(g.m):
-            without = g.subgraph_of_edges(f for f in range(g.m) if f != eid)
+            without = _without(g, eid)
             comps, _ = component_balance(without)
             if len(comps) < 2:
                 continue

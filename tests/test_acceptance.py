@@ -175,7 +175,9 @@ def _recompute_derived():
             ],
         },
         "DISJB": {
-            "sign_block": oracle._both_signs_everywhere(g["DISJB"])
+            "sign_block": oracle._both_signs_everywhere(
+                g["DISJB"].n, [(e.u, e.v, e.sign) for e in g["DISJB"].edges]
+            )
             and not oracle.brute_sign_articulation_vertices(g["DISJB"])
         },
         "THETA": {

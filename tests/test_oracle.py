@@ -2,6 +2,7 @@
 circuit axioms, and the small-graph generator."""
 
 import random
+from itertools import combinations
 
 from hypothesis import given, settings
 
@@ -176,10 +177,10 @@ def _balancing_edges_by_deletion(g):
     return frozenset(out)
 
 
-def _random_multigraph(rng):
-    """Up to 7 vertices and 10 edges, loops and parallel edges included;
+def _random_multigraph(rng, max_n=7):
+    """Up to max_n vertices and 10 edges, loops and parallel edges included;
     often in several components."""
-    n = rng.randint(1, 7)
+    n = rng.randint(1, max_n)
     triples = []
     for _ in range(rng.randint(0, 10)):
         u = rng.randrange(n)
@@ -222,7 +223,8 @@ def _cycles_by_plain_sweep(g, ground):
 
 def _chain_signs_by_rounds(g):
     """Walk states expanded round by round, the whole state set each round,
-    up to 2n rounds: the reference for `oracle._chain_signs`."""
+    up to 2n rounds: the reference for `oracle._closure`, which
+    `oracle.chain_sign_table` reads."""
     table = []
     for x in range(g.n):
         states = {(x, +1)}
@@ -242,7 +244,7 @@ def _chain_signs_by_rounds(g):
 
 
 def _assert_same_walks_and_cycles(g, rng):
-    assert oracle._chain_signs(g) == _chain_signs_by_rounds(g), g
+    assert oracle.chain_sign_table(g) == list(map(list, _chain_signs_by_rounds(g))), g
     assert oracle._sweep_cycles(g, list(range(g.m))) == _cycles_by_plain_sweep(g, list(range(g.m)))
     # a subset, given unsorted and with repeats
     chosen = [eid for eid in range(g.m) if rng.random() < 0.6]
@@ -301,3 +303,212 @@ class TestRewritesAgreeWithTheirReferences:
         assert len(decided) < 1 << 10  # the filter skips almost all 2^17 masks
         monkeypatch.undo()
         assert found == _cycles_by_plain_sweep(g, list(range(17)))
+
+
+# -- the oracle functions as they were before the kept closure, the
+# negative-pair table and the deletions on edge lists: references for them
+
+
+def _chain_signs_by_worklist(g):
+    """Per start x, the closure of the walk states (vertex, accumulated
+    sign) from (x, +1): a worklist over `g.adjacency` in which each of the
+    2n states is expanded once, when it is first reached."""
+    sign_sets = (frozenset(), frozenset({+1}), frozenset({-1}), frozenset({+1, -1}))
+    steps = [
+        [(e.v if e.u == v else e.u, 3 if e.sign < 0 else 0) for e in edges]
+        for v, edges in enumerate(g.adjacency)
+    ]
+    table = []
+    for x in range(g.n):
+        reached = [0] * g.n
+        reached[x] = 1
+        todo = [(x, 1)]
+        while todo:
+            v, bit = todo.pop()
+            for w, flip in steps[v]:
+                b = bit ^ flip
+                if not reached[w] & b:
+                    reached[w] |= b
+                    todo.append((w, b))
+        table.append(tuple(sign_sets[bits] for bits in reached))
+    return tuple(table)
+
+
+def _sign_components_ref(g):
+    table = _chain_signs_by_worklist(g)
+    related = [
+        [len(table[x][y]) == 2 or x == y for y in range(g.n)] for x in range(g.n)
+    ]
+    classes = oracle._relation_components(related)
+    for cls in classes:
+        for x in cls:
+            for y in cls:
+                assert related[x][y], "sign relation not transitive on a class"
+    return classes
+
+
+def _positive_components_ref(g):
+    table = _chain_signs_by_worklist(g)
+    related = [[+1 in table[x][y] for y in range(g.n)] for x in range(g.n)]
+    classes = oracle._relation_components(related)
+    for cls in classes:
+        for x in cls:
+            for y in cls:
+                assert related[x][y], "positive relation not transitive on a class"
+    return classes
+
+
+def _negative_components_ref(g):
+    table = _chain_signs_by_worklist(g)
+    neg = [[-1 in table[x][y] for y in range(g.n)] for x in range(g.n)]
+    related = [
+        [
+            x == y
+            or neg[x][y]
+            or any(neg[x][w] and neg[w][y] for w in range(g.n))
+            for y in range(g.n)
+        ]
+        for x in range(g.n)
+    ]
+    return oracle._relation_components(related)
+
+
+def _is_quasibalanced_ref(g):
+    vsets = [oracle._cycle_vertices(g, c) for c, s in oracle.brute_cycles(g) if s == -1]
+    return all(
+        len(vsets[i] & vsets[j]) >= 2
+        for i in range(len(vsets))
+        for j in range(i + 1, len(vsets))
+    )
+
+
+def _frame_circuits_ref(g):
+    cycles = oracle.brute_cycles(g)
+    out = {c for c, s in cycles if s == +1}
+    neg = [(c, oracle._cycle_vertices(g, c)) for c, s in cycles if s == -1]
+    for (c1, v1), (c2, v2) in combinations(neg, 2):
+        if c1 & c2:
+            continue
+        shared = v1 & v2
+        if len(shared) == 1:
+            out.add(c1 | c2)
+        elif not shared:
+            for path in oracle._connecting_paths(g, v1, v2):
+                out.add(c1 | c2 | path)
+    return sorted(out, key=lambda c: (len(c), sorted(c)))
+
+
+def _lift_circuits_ref(g):
+    cycles = oracle.brute_cycles(g)
+    out = {c for c, s in cycles if s == +1}
+    neg = [(c, oracle._cycle_vertices(g, c)) for c, s in cycles if s == -1]
+    for (c1, v1), (c2, v2) in combinations(neg, 2):
+        if c1 & c2 or len(v1 & v2) > 1:
+            continue
+        out.add(c1 | c2)
+    return sorted(out, key=lambda c: (len(c), sorted(c)))
+
+
+def _both_signs_everywhere_ref(g):
+    table = _chain_signs_by_worklist(g)
+    return all(
+        len(table[x][y]) == 2 for x in range(g.n) for y in range(g.n) if x != y
+    )
+
+
+def _sign_isthmi_ref(g):
+    out = set()
+    for eid in range(g.m):
+        rest = [(e.u, e.v, e.sign) for e in g.edges if e.id != eid]
+        if not _both_signs_everywhere_ref(SignedGraph.from_triples(g.n, rest)):
+            out.add(eid)
+    return frozenset(out)
+
+
+def _sign_articulation_vertices_ref(g):
+    out = set()
+    for x in range(g.n):
+        label = {v: i for i, v in enumerate(w for w in range(g.n) if w != x)}
+        rest = [
+            (label[e.u], label[e.v], e.sign) for e in g.edges if x not in (e.u, e.v)
+        ]
+        if not _both_signs_everywhere_ref(SignedGraph.from_triples(g.n - 1, rest)):
+            out.add(x)
+    return frozenset(out)
+
+
+def _assert_same_as_the_references(g):
+    assert oracle.chain_sign_table(g) == list(map(list, _chain_signs_by_worklist(g))), g
+    assert oracle.brute_sign_components(g) == _sign_components_ref(g), g
+    assert oracle.brute_positive_components(g) == _positive_components_ref(g), g
+    assert oracle.brute_negative_components(g) == _negative_components_ref(g), g
+    assert oracle.brute_is_quasibalanced(g) == _is_quasibalanced_ref(g), g
+    assert oracle.enumerate_frame_circuits(g) == _frame_circuits_ref(g), g
+    assert oracle.enumerate_lift_circuits(g) == _lift_circuits_ref(g), g
+    triples = [(e.u, e.v, e.sign) for e in g.edges]
+    assert oracle._both_signs_everywhere(g.n, triples) == _both_signs_everywhere_ref(g), g
+    assert oracle.brute_sign_isthmi(g) == _sign_isthmi_ref(g), g
+    assert oracle.brute_sign_articulation_vertices(g) == _sign_articulation_vertices_ref(g), g
+
+
+class TestKeptObjectsAgreeWithTheirReferences:
+    """The kept closure, the kept negative-pair table and the deletions on
+    edge lists give what the functions they replace gave."""
+
+    def test_on_all_graphs_up_to_three_vertices_and_four_edges(self):
+        count = 0
+        for g in oracle.generate_signed_graphs(3, 4):
+            _assert_same_as_the_references(g)
+            count += 1
+        assert count == 2_127
+
+    def test_on_every_fifth_graph_up_to_four_vertices_and_five_edges(self):
+        order = oracle.SignedGraphOrder(4, 5)
+        for k in range(0, len(order), 5):
+            n, triples = order[k]
+            _assert_same_as_the_references(SignedGraph.from_triples(n, triples))
+
+    def test_on_random_multigraphs(self):
+        rng = random.Random(16)
+        seen = {"isthmi": 0, "articulation": 0, "quasibalanced": 0, "pairs": 0}
+        for _ in range(300):
+            g = _random_multigraph(rng, max_n=6)
+            _assert_same_as_the_references(g)
+            seen["isthmi"] += bool(oracle.brute_sign_isthmi(g))
+            seen["articulation"] += bool(oracle.brute_sign_articulation_vertices(g))
+            seen["quasibalanced"] += not oracle.brute_is_quasibalanced(g)
+            seen["pairs"] += bool(oracle._negative_pairs(g))
+        assert min(seen.values()) >= 20, seen
+
+    def test_kept_rows_are_read_in_place(self):
+        g = SignedGraph(K4.n, K4.edges)
+        rows = oracle._chain_sign_rows(g)
+        oracle.brute_sign_components(g)
+        oracle.brute_positive_components(g)
+        oracle.brute_negative_components(g)
+        assert oracle._chain_sign_rows(g) is rows
+        assert rows == ((1, 1, 1, 1),) * 4
+
+    def test_negative_pairs_are_built_once(self, monkeypatch):
+        # TIGHT: two negative triangles sharing vertex 0
+        g = fixture("TIGHT")
+        calls = []
+        real = oracle._cycle_vertices
+        monkeypatch.setattr(oracle, "_cycle_vertices", lambda g, c: calls.append(c) or real(g, c))
+        pairs = oracle._negative_pairs(g)
+        oracle.enumerate_frame_circuits(g)
+        oracle.enumerate_lift_circuits(g)
+        oracle.brute_is_quasibalanced(g)
+        assert oracle._negative_pairs(g) is pairs
+        assert len(calls) == 2 and [p[4:] for p in pairs] == [(1, False)]
+
+    def test_deletions_build_no_graph(self, monkeypatch):
+        g = fixture("LOOSE")
+        want = (oracle.brute_sign_isthmi(g), oracle.brute_sign_articulation_vertices(g))
+
+        def no_graph(*args, **kwargs):
+            raise AssertionError("a SignedGraph was built")
+
+        monkeypatch.setattr(SignedGraph, "__post_init__", no_graph)
+        got = (oracle.brute_sign_isthmi(g), oracle.brute_sign_articulation_vertices(g))
+        assert got == want == (frozenset({6}), frozenset({0, 3}))

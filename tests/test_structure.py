@@ -459,6 +459,41 @@ class TestContainsTheta:
                 assert not (vertex_sets[i] & vertex_sets[j])
 
 
+    def test_builds_no_block(self, monkeypatch):
+        def no_block(*args, **kwargs):
+            raise AssertionError("a Block was built")
+
+        monkeypatch.setattr(structure, "Block", no_block)
+        for g in (fixture("THETA"), SignedGraph(K4.n, K4.edges), fixture("TIGHT")):
+            contains_theta(g)
+            assert "blocks" not in vars(block_decomposition(g))
+
+
+def _theta_by_blocks(g):
+    """`contains_theta` as it read the decomposition's `Block`s: the
+    reference for the one that reads its rows."""
+    dec = block_decomposition(g)
+    for b in dec.blocks:
+        if len(b.edges) > len(b.vertices):
+            return structure._extract_theta(g, b.edges)
+    return None
+
+
+def test_theta_from_rows_is_the_theta_from_blocks():
+    thetas = 0
+    for g in oracle.generate_signed_graphs(4, 5):
+        th = contains_theta(g)
+        assert th == _theta_by_blocks(g), g
+        thetas += th is not None
+    assert thetas == 4_272
+    # larger graphs, some with several blocks to choose the theta from
+    several = 0
+    for g in _random_multigraphs(1000, 11):
+        assert contains_theta(g) == _theta_by_blocks(g), g
+        several += sum(len(b.edges) > len(b.vertices) for b in block_decomposition(g).blocks) > 1
+    assert several >= 25
+
+
 def _assert_valid_theta(g, th):
     """Three edge-disjoint paths from one endpoint to the other whose inner
     vertices are pairwise disjoint and avoid both endpoints."""

@@ -6,8 +6,9 @@ no worker outlives the call; the parent runs no other thread and holds no
 graphs.  Suite 4's local submodularity check agrees with the all-pairs definition,
 its per-size tables with the loops they replace, its rank tables with the
 oracle's rank, and one wrong answer of the library gives a suite-4
-violation; suite 6 checks each theta by definition, and suite 2's five
-characterizations of a balancing edge agree."""
+violation; so does one in suites 2, 3, 5, 8 and 9, also on a deletion that
+another suite built first; suite 6 checks each theta by definition, and
+suite 2's five characterizations of a balancing edge agree."""
 
 import multiprocessing
 import os
@@ -432,6 +433,73 @@ def test_suite_4_memo_tells_families_on_as_many_edges_apart(fresh_family_memo):
     assert sweep._family(3, frozenset()).ranks == (0, 1, 1, 2, 1, 2, 2, 3)
 
 
+def _less(ids):
+    return lambda real: lambda g: real(g) - ids
+
+
+def _more(ids):
+    return lambda real: lambda g: real(g) | ids
+
+
+def _singletons(real):
+    return lambda g: real(g)._replace(classes=tuple(frozenset({v}) for v in range(g.n)))
+
+
+# (suite, module holding the name the suite calls, name, fault, graph,
+# message); T-: the negative triangle 0-1-2, every edge and vertex a sign
+# isthmus and articulation vertex; LOOSE: only its bridge 6 is one
+_SUITE_FAULTS = [
+    (2, sweep, "balancing_edges", _less({0}), "T-",
+     "balancing edges [1, 2] != deletion oracle [0, 1, 2]"),
+    (3, sweep, "sign_isthmi", _less({0}), "T-",
+     "sign isthmi [1, 2] != deletion oracle [0, 1, 2]"),
+    (3, sweep, "sign_articulation_vertices", _less({0}), "T-",
+     "sign articulation vertices [1, 2] != deletion oracle [0, 1, 2]"),
+    (5, sweep, "sign_isthmi", _more({0}), "LOOSE",
+     "sign isthmus that is no lift isthmus [0]"),
+    (8, sweep, "positive_components", _singletons, "T-",
+     "positive components differ from positive reachability classes"),
+    (8, sweep, "negative_components", _singletons, "T-",
+     "negative components differ from closed negative reachability classes"),
+    (9, matroid, "is_quasibalanced", lambda real: lambda g: not real(g), "T-",
+     "is_quasibalanced=False disagrees with pairwise intersection test"),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, module, name, fault, graph, message",
+    _SUITE_FAULTS,
+    ids=[f"{f[0]}-{f[2]}" for f in _SUITE_FAULTS],
+)
+def test_each_suite_catches_one_wrong_answer(monkeypatch, suite, module, name, fault, graph,
+                                             message):
+    assert sweep.check_graph(fixture(graph)) == []
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    found = sweep.check_graph(fixture(graph), [suite])
+    assert [(v.suite, v.message) for v in found] == [(suite, message)]
+
+
+def test_suite_9_catches_a_wrong_answer_on_a_deletion_suite_2_built(monkeypatch):
+    # a negative digon 0-1, then the path 1-2-3: deleting edge 2 leaves the
+    # digon and the balanced piece 2-3, which is no sign-connected piece
+    g = SignedGraph.from_triples(4, [(0, 1, 1), (0, 1, -1), (1, 2, 1), (2, 3, 1)])
+    piece = SignedGraph.from_triples(2, [(0, 1, 1)])
+    assert sweep.check_graph(g) == []
+    g = SignedGraph(g.n, g.edges)  # nothing kept from the clean check
+    real_connected, real_subgraph = sweep.is_sign_connected, SignedGraph.subgraph_of_edges
+    built = []
+    monkeypatch.setattr(sweep, "is_sign_connected", lambda h: h == piece or real_connected(h))
+    monkeypatch.setattr(
+        SignedGraph, "subgraph_of_edges",
+        lambda h, ids: built.append(real_subgraph(h, ids)) or built[-1],
+    )
+    found = sweep.check_graph(g, [2, 9])
+    assert [(v.suite, v.message) for v in found] == [
+        (9, "edge 2 splits into unbalanced sign-connected pieces yet graph is quasibalanced")
+    ]
+    assert len(built) == 4  # suite 2 built the four deletions, suite 9 none
+
+
 # set functions that break one rank axiom each, and the first violation
 # suite 4 reports for them
 _BROKEN_RANKS = [
@@ -499,16 +567,19 @@ def test_a_suite_selection_runs_those_suites_in_order(monkeypatch):
 
 class TestBalancingEdgeEquivalences:
     def test_negative_triangle_edge_satisfies_all(self):
-        rep = sweep._balancing_edge_conditions(fixture("T-"), 2)
+        g = fixture("T-")
+        rep = sweep._balancing_edge_conditions(g, 2, oracle.brute_cycles(g))
         assert rep == (True,) * 5
 
     def test_tight_pair_satisfies_none(self):
+        g = fixture("TIGHT")
         for eid in range(6):
-            rep = sweep._balancing_edge_conditions(fixture("TIGHT"), eid)
+            rep = sweep._balancing_edge_conditions(g, eid, oracle.brute_cycles(g))
             assert rep == (False,) * 5
 
     def test_negative_loop_balances_on_deletion(self):
-        rep = sweep._balancing_edge_conditions(fixture("NEGLOOP"), 0)
+        g = fixture("NEGLOOP")
+        rep = sweep._balancing_edge_conditions(g, 0, oracle.brute_cycles(g))
         assert rep[0]
         assert rep == (True,) * 5
 
@@ -517,5 +588,5 @@ class TestBalancingEdgeEquivalences:
         if not is_connected(g) or is_balanced(g):
             return
         for eid in range(g.m):
-            rep = sweep._balancing_edge_conditions(g, eid)
+            rep = sweep._balancing_edge_conditions(g, eid, oracle.brute_cycles(g))
             assert len(set(rep)) == 1
