@@ -26,15 +26,15 @@ def iter_cycles(
     direction; directions are deduplicated.
     """
     allowed = set(range(g.m)) if edge_ids is None else set(edge_ids)
-    adj: list[list] = [[] for _ in range(g.n)]
-    loops: list[list] = [[] for _ in range(g.n)]
+    adj: list[list] = [[] for _ in range(g.n)]  # (edge id, other end, sign)
+    loops: list[list] = [[] for _ in range(g.n)]  # (edge id, sign)
     for eid in allowed:
-        e = g.edges[eid]
-        if e.u == e.v:
-            loops[e.u].append(e)
+        u, v, sign = g._u[eid], g._v[eid], g._sign[eid]
+        if u == v:
+            loops[u].append((eid, sign))
         else:
-            adj[e.u].append(e)
-            adj[e.v].append(e)
+            adj[u].append((eid, v, sign))
+            adj[v].append((eid, u, sign))
 
     found: set[frozenset[int]] = set()
 
@@ -47,9 +47,9 @@ def iter_cycles(
         return True
 
     for v in range(g.n):
-        for e in loops[v]:
-            if fresh(frozenset([e.id])):
-                yield frozenset([e.id]), e.sign
+        for eid, sign in loops[v]:
+            if fresh(frozenset([eid])):
+                yield frozenset([eid]), sign
 
     # DFS on paths whose vertices all exceed the anchor except the anchor
     # itself; closing back to the anchor yields a cycle.
@@ -57,15 +57,14 @@ def iter_cycles(
         stack = [(root, frozenset([root]), (), 1)]
         while stack:
             at, used_v, used_e, sign = stack.pop()
-            for e in adj[at]:
-                w = e.other(at)
-                if e.id in used_e:
+            for eid, w, s in adj[at]:
+                if eid in used_e:
                     continue
                 if w == root:
                     if len(used_e) >= 1:  # length >= 2: digon or longer
-                        cycle = frozenset(used_e) | {e.id}
+                        cycle = frozenset(used_e) | {eid}
                         if fresh(cycle):
-                            yield cycle, sign * e.sign
+                            yield cycle, sign * s
                 elif w > root and w not in used_v:
-                    stack.append((w, used_v | {w}, used_e + (e.id,), sign * e.sign))
+                    stack.append((w, used_v | {w}, used_e + (eid,), sign * s))
 

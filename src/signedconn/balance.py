@@ -116,10 +116,13 @@ def _balancing_vertices(g: SignedGraph) -> frozenset[int]:
         if sp.parent[a] >= 0:
             on_path[sp.parent[a]] -= 1
     on_path = sp.subtree_sums(on_path)
+    candidates = [x for x in range(n) if k[sp.comp[x]] and on_path[x] == k[sp.comp[x]]]
+    if not candidates:
+        return frozenset()
     up: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
     for eid, d, a in sp.nontree:
         if d != a:  # a loop passes above nothing
-            up[d].append((a, sp.pot[d] * sp.pot[a] != g.edges[eid].sign))
+            up[d].append((a, sp.pot[d] * sp.pot[a] != g._sign[eid]))
     depth = sp.depth
     path = [0] * n  # path[i]: the ancestor at depth i of the vertex in hand
     above = [0] * n
@@ -136,7 +139,5 @@ def _balancing_vertices(g: SignedGraph) -> frozenset[int]:
     above = sp.subtree_sums(above)
     f_above = sp.subtree_sums(f_above)
     mixed = {sp.parent[c] for c in range(n) if 0 < f_above[c] < above[c]}
-    return frozenset(
-        x for x in range(n) if k[sp.comp[x]] and on_path[x] == k[sp.comp[x]] and x not in mixed
-    )
+    return frozenset(candidates).difference(mixed)
 

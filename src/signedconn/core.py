@@ -3,16 +3,18 @@ switching, sign reachability and chains of a given sign.
 
 Vertices are dense integers 0..n-1 and edge ids are dense 0..m-1.  Loops and
 parallel edges are allowed.  All structures are immutable; every operation is a
-pure function, so concurrent use on a shared graph needs no locking.  Derived
-data (adjacency, spine) is computed on first use and kept on the graph object.
+pure function, so concurrent use on a shared graph needs no locking.  A graph
+is its edge columns `_u`, `_v`, `_sign` (lists of ints by edge id), each value
+checked once when it is built.  The tuple of `Edge`s, the incidence (plain
+tuples) and the spine are built on first use and kept on the graph object;
+the hot loops never read an `Edge`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections import deque
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, Optional, TypeVar
+from typing import Callable, Collection, Iterable, NamedTuple, Optional, TypeVar
 
 from .errors import EdgeOutOfRange, InvalidWalk, VertexOutOfRange
 
@@ -33,45 +35,72 @@ class Edge(NamedTuple):
         return self.v if x == self.u else self.u
 
 
-@dataclass(frozen=True)
 class SignedGraph:
-    n: int
-    edges: tuple[Edge, ...]
+    """n vertices and the edges `Edge(id, u, v, sign)`, ids 0..m-1, from the
+    `Edge`s themselves or numbered (u, v, sign) triples (`from_triples`); a
+    vertex must be an int in 0..n-1 and a sign the int +1 or -1.  Two graphs
+    are equal iff they have the same n and the same edges."""
 
-    def __post_init__(self):
-        n = self.n
-        if n < 0:
-            raise VertexOutOfRange(f"negative vertex count {n}")
-        for i, e in enumerate(self.edges):
+    def __init__(self, n: int, edges: Iterable[Edge]):
+        edges = tuple(edges)
+        for i, e in enumerate(edges):
             if type(e) is not Edge:
                 raise TypeError(f"edge {i} is a {type(e).__name__}, not an Edge")
-            eid, u, v, sign = e
-            if eid != i:
-                raise EdgeOutOfRange(f"edge ids must be dense, got {eid} at {i}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise VertexOutOfRange(f"edge {eid} endpoints ({u},{v}) out of range")
-            if sign not in (+1, -1):
-                raise ValueError(f"edge {eid} sign must be +1 or -1")
+            if e.id != i:
+                raise EdgeOutOfRange(f"edge ids must be dense, got {e.id} at {i}")
+        vars(self).update(vars(SignedGraph.from_triples(n, [e[1:] for e in edges])), edges=edges)
 
     @classmethod
     def from_triples(cls, n: int, triples: Iterable[tuple[int, int, Sign]]) -> "SignedGraph":
-        make = Edge._make
-        return cls(n, tuple([make((i, u, v, s)) for i, (u, v, s) in enumerate(triples)]))
+        if type(n) is not int or n < 0:
+            raise VertexOutOfRange(f"vertex count must be a nonnegative int, got {n!r}")
+        us, vs, signs = [], [], []
+        for eid, (u, v, sign) in enumerate(triples):
+            if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
+                raise VertexOutOfRange(f"edge {eid} endpoints ({u!r},{v!r}) out of range")
+            if type(sign) is not int or not (sign == 1 or sign == -1):
+                raise ValueError(f"edge {eid} sign must be +1 or -1, got {sign!r}")
+            us.append(u)
+            vs.append(v)
+            signs.append(sign)
+        return cls._of_columns(n, us, vs, signs)
 
-    @property
-    def m(self) -> int:
-        return len(self.edges)
+    @classmethod
+    def _of_columns(cls, n: int, us: list[int], vs: list[int], signs: list[Sign]) -> "SignedGraph":
+        """The graph on edge columns already checked, taken as they are."""
+        g = cls.__new__(cls)
+        vars(g).update(n=n, m=len(us), _u=us, _v=vs, _sign=signs)
+        return g
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a SignedGraph is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.n, self._u, self._v, self._sign) == (other.n, other._u, other._v, other._sign)
+
+    def __hash__(self):
+        return hash((self.n, tuple(self._u), tuple(self._v), tuple(self._sign)))
+
+    def __repr__(self):
+        return f"SignedGraph(n={self.n!r}, edges={self.edges!r})"
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[Edge, ...], ...]:
-        """Incident edges per vertex; a loop appears once in its vertex's list."""
-        adj: list[list[Edge]] = [[] for _ in range(self.n)]
-        for e in self.edges:
-            u, v = e.u, e.v
-            adj[u].append(e)
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges in id order, built from the columns on first access."""
+        return tuple(map(Edge, range(self.m), self._u, self._v, self._sign))
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[tuple[int, int, Sign], ...], ...]:
+        """Per vertex, its incident edges as (edge id, other end, sign), in id
+        order; a loop appears once in its vertex's list."""
+        adj: list[list[tuple[int, int, Sign]]] = [[] for _ in range(self.n)]
+        for eid, u, v, sign in zip(range(self.m), self._u, self._v, self._sign):
+            adj[u].append((eid, v, sign))
             if v != u:
-                adj[v].append(e)
-        return tuple(tuple(a) for a in adj)
+                adj[v].append((eid, u, sign))
+        return tuple(map(tuple, adj))
 
     @cached_property
     def spine(self) -> _Spine:
@@ -82,7 +111,7 @@ class SignedGraph:
     def edge(self, eid: int) -> Edge:
         if not 0 <= eid < self.m:
             raise EdgeOutOfRange(f"edge id {eid} out of range")
-        return self.edges[eid]
+        return Edge(eid, self._u[eid], self._v[eid], self._sign[eid])
 
     def check_vertex(self, x: int) -> None:
         if not 0 <= x < self.n:
@@ -97,8 +126,8 @@ class SignedGraph:
         for eid in kept:
             if not 0 <= eid < self.m:
                 raise EdgeOutOfRange(f"edge id {eid} out of range")
-        triples = [(self.edges[eid].u, self.edges[eid].v, self.edges[eid].sign) for eid in kept]
-        return SignedGraph.from_triples(self.n, triples)
+        columns = (self._u, self._v, self._sign)
+        return SignedGraph._of_columns(self.n, *([c[eid] for eid in kept] for c in columns))
 
 
 class _Spine:
@@ -153,11 +182,10 @@ class _Spine:
             disc[root] = low[root] = len(order)
             order.append(root)
             pot[root] = 1
-            stack = [(root, iter(adjacency[root]))]
-            while stack:
-                v, edges = stack[-1]
-                for eid, a, b, sign in edges:
-                    w = b if a == v else a
+            stack = []  # (vertex, its unread incidence) per ancestor of v
+            v, edges = root, iter(adjacency[root])
+            while True:
+                for eid, w, sign in edges:
                     if disc[w] == -1:
                         comp[w] = c
                         parent[w] = v
@@ -166,7 +194,8 @@ class _Spine:
                         depth[w] = depth[v] + 1
                         order.append(w)
                         pot[w] = pot[v] * sign
-                        stack.append((w, iter(adjacency[w])))
+                        stack.append((v, edges))
+                        v, edges = w, iter(adjacency[w])
                         break
                     if disc[w] > disc[v] or eid == parent_edge[v]:
                         continue  # seen from its ancestor end, or the tree edge up
@@ -176,11 +205,12 @@ class _Spine:
                     if disc[w] < low[v]:
                         low[v] = disc[w]
                 else:
-                    stack.pop()
-                    if stack:
-                        p = stack[-1][0]
-                        if low[v] < low[p]:
-                            low[p] = low[v]
+                    if not stack:
+                        break
+                    p, edges = stack.pop()
+                    if low[v] < low[p]:
+                        low[p] = low[v]
+                    v = p
             comp_frustrated.append(len(frustrated) - before)
 
     def subtree_sums(self, weight: list[int]) -> list[int]:
@@ -234,13 +264,9 @@ def _kept(g: SignedGraph, key: str, compute: Callable[[SignedGraph], T]) -> T:
     return memo[key]
 
 
-def _vertex_set(g: SignedGraph, edge_ids: Iterable[int]) -> set[int]:
+def _vertex_set(g: SignedGraph, edge_ids: Collection[int]) -> set[int]:
     """The endpoints of the given edges."""
-    out: set[int] = set()
-    for eid in edge_ids:
-        out.add(g.edges[eid].u)
-        out.add(g.edges[eid].v)
-    return out
+    return set(map(g._u.__getitem__, edge_ids)).union(map(g._v.__getitem__, edge_ids))
 
 
 class _WalkFields(NamedTuple):
@@ -278,8 +304,7 @@ class Walk(_WalkFields):
         for eid, forward in self.steps:
             if not 0 <= eid < g.m:
                 raise InvalidWalk(f"edge id {eid} out of range")
-            e = g.edges[eid]
-            frm, to = (e.u, e.v) if forward else (e.v, e.u)
+            frm, to = (g._u[eid], g._v[eid]) if forward else (g._v[eid], g._u[eid])
             if frm != at:
                 raise InvalidWalk(
                     f"step over edge {eid} enters at {frm} but walk is at {at}"
@@ -300,7 +325,7 @@ def walk_sign(g: SignedGraph, w: Walk) -> Sign:
     w.vertex_sequence(g)  # validates incidence
     sign = 1
     for eid, _ in w.steps:
-        sign *= g.edges[eid].sign
+        sign *= g._sign[eid]
     return sign
 
 
@@ -312,11 +337,8 @@ def switch(g: SignedGraph, w_set: Iterable[int]) -> SignedGraph:
     ws = set(w_set)
     for x in ws:
         g.check_vertex(x)
-    triples = []
-    for e in g.edges:
-        flip = (e.u in ws) != (e.v in ws)
-        triples.append((e.u, e.v, -e.sign if flip else e.sign))
-    return SignedGraph.from_triples(g.n, triples)
+    signs = [-s if (u in ws) != (v in ws) else s for u, v, s in zip(g._u, g._v, g._sign)]
+    return SignedGraph._of_columns(g.n, g._u, g._v, signs)
 
 
 _BOTH_SIGNS = frozenset({+1, -1})
@@ -364,10 +386,10 @@ def _cover_search(g: SignedGraph, x: int) -> list[Optional[tuple[int, int]]]:
     while queue:
         cv = queue.popleft()
         v, negative = cv >> 1, cv & 1
-        for e in g.adjacency[v]:
-            cw = 2 * e.other(v) + (negative ^ (e.sign == -1))
+        for eid, w, sign in g.adjacency[v]:
+            cw = 2 * w + (negative ^ (sign == -1))
             if parent[cw] is None:
-                parent[cw] = (cv, e.id)
+                parent[cw] = (cv, eid)
                 queue.append(cw)
     return parent
 
@@ -384,8 +406,8 @@ def _cover_walk(
     steps = []
     while parent[cv] != (-1, -1):
         prev, eid = parent[cv]  # type: ignore[misc]
-        e = g.edges[eid]
-        forward = e.u == e.v or (prev // 2 == e.u and cv // 2 == e.v)
+        u, v = g._u[eid], g._v[eid]
+        forward = u == v or (prev // 2 == u and cv // 2 == v)
         steps.append((eid, forward))
         cv = prev
     steps.reverse()

@@ -22,47 +22,54 @@ _SIGNS = {"+": +1, "-": -1}
 
 
 def parse(text: str) -> SignedGraph:
-    """Parse a graph file; errors carry the 1-based line number."""
-    n = None
-    triples = []
-    for lineno, rawline in enumerate(text.splitlines(), start=1):
+    """Parse a graph file straight into the graph's edge columns, each value
+    checked once; errors carry the 1-based line number."""
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, rawline in lines:
+        line = rawline.strip()
+        if not line or line[0] == "#":
+            continue
+        if not line.startswith(_HEADER):
+            raise GraphSyntaxError(lineno, f"expected header '{_HEADER}<int>'")
+        try:
+            n = int(line[len(_HEADER):])
+        except ValueError:
+            raise GraphSyntaxError(lineno, f"bad vertex count in {line!r}") from None
+        if n < 0:
+            raise GraphSyntaxError(lineno, "vertex count must be nonnegative")
+        if n > _MAX_N:
+            raise GraphSyntaxError(lineno, f"vertex count {n} exceeds {_MAX_N}")
+        break
+    else:
+        raise GraphSyntaxError(1, "empty file, expected header")
+    us, vs, signs = [], [], []
+    for lineno, rawline in lines:
         parts = rawline.split()
         if not parts or parts[0][0] == "#":
             continue
-        if n is None:
-            line = rawline.strip()
-            if not line.startswith(_HEADER):
-                raise GraphSyntaxError(lineno, f"expected header '{_HEADER}<int>'")
-            try:
-                n = int(line[len(_HEADER):])
-            except ValueError:
-                raise GraphSyntaxError(lineno, f"bad vertex count in {line!r}") from None
-            if n < 0:
-                raise GraphSyntaxError(lineno, "vertex count must be nonnegative")
-            if n > _MAX_N:
-                raise GraphSyntaxError(lineno, f"vertex count {n} exceeds {_MAX_N}")
-            continue
-        if len(parts) != 3 or parts[2] not in _SIGNS:
-            raise GraphSyntaxError(lineno, f"expected '<u> <v> <+|->', got {rawline.strip()!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            a, b, s = parts
+            sign = _SIGNS[s]
+        except (ValueError, KeyError):
+            raise GraphSyntaxError(lineno, f"expected '<u> <v> <+|->', got {rawline.strip()!r}") from None
+        try:
+            u, v = int(a), int(b)
         except ValueError:
             raise GraphSyntaxError(lineno, f"bad vertex in {rawline.strip()!r}") from None
         if not (0 <= u < n and 0 <= v < n):
             err = VertexOutOfRange(f"line {lineno}: vertex out of range in {rawline.strip()!r}")
             err.line = lineno
             raise err
-        triples.append((u, v, _SIGNS[parts[2]]))
-    if n is None:
-        raise GraphSyntaxError(1, "empty file, expected header")
-    return SignedGraph.from_triples(n, triples)
+        us.append(u)
+        vs.append(v)
+        signs.append(sign)
+    return SignedGraph._of_columns(n, us, vs, signs)
 
 
 def emit(g: SignedGraph) -> str:
     """Canonical text form; parse(emit(g)) reproduces g exactly."""
     lines = [f"{_HEADER}{g.n}"]
-    for e in g.edges:
-        lines.append(f"{e.u} {e.v} {'+' if e.sign == +1 else '-'}")
+    lines += [f"{u} {v} {'+' if sign == +1 else '-'}" for u, v, sign in zip(g._u, g._v, g._sign)]
     return "\n".join(lines) + "\n"
 
 

@@ -69,22 +69,21 @@ def classify_circuit(g: SignedGraph, edge_ids: Iterable[int]) -> CircuitClassifi
     or two negative cycles and at most one chain (three make a theta).
     """
     F = frozenset(edge_ids)
-    edges = g.edges
-    m = len(edges)
+    us, vs = g._u, g._v
+    m = len(us)
     degree: dict[int, int] = {}
     for eid in F:
         if not 0 <= eid < m:
             raise EdgeOutOfRange(f"edge id {eid} out of range")
-        _, u, v, _ = edges[eid]
+        u, v = us[eid], vs[eid]
         degree[u] = degree.get(u, 0) + 1
         degree[v] = degree.get(v, 0) + 1
     if not 0 <= len(F) - len(degree) <= 1 or 1 in degree.values():
         return _NOT_A_CIRCUIT
     ends: dict[int, list[int]] = {v: [] for v in degree}
     for eid in F:
-        _, u, v, _ = edges[eid]
-        ends[u].append(eid)
-        ends[v].append(eid)
+        ends[us[eid]].append(eid)
+        ends[vs[eid]].append(eid)
     used: set[int] = set()
     closed: list[tuple[frozenset[int], int]] = []
     chains: list[frozenset[int]] = []
@@ -112,12 +111,11 @@ def classify_circuit(g: SignedGraph, edge_ids: Iterable[int]) -> CircuitClassifi
 def _run(g: SignedGraph, ends: dict, start: int, eid: int) -> tuple[int, frozenset[int], int]:
     """(last vertex, edges, sign) of the run that leaves `start` by edge eid
     and goes on through degree-2 vertices until back at `start` or a branch."""
-    edges, run, sign, v = g.edges, [], 1, start
+    us, vs, signs, run, sign, v = g._u, g._v, g._sign, [], 1, start
     while True:
         run.append(eid)
-        _, x, y, s = edges[eid]
-        sign *= s
-        v = y if v == x else x
+        sign *= signs[eid]
+        v = vs[eid] if v == us[eid] else us[eid]
         if v == start or len(ends[v]) != 2:
             return v, frozenset(run), sign
         a, b = ends[v]
@@ -135,8 +133,8 @@ def _parity_forest(g: SignedGraph, edge_ids: Iterable[int]) -> tuple[int, int, l
     grandparent, so a long chain, such as a star listed leaf by leaf from
     its centre, is not walked again in full.  The unbalanced roots are counted as they form.
     """
-    edges, n = g.edges, g.n
-    m = len(edges)
+    us, vs, signs, n = g._u, g._v, g._sign, g.n
+    m = len(us)
     parent = list(range(n))
     parity = [0] * n
     unbalanced = [False] * n
@@ -144,8 +142,7 @@ def _parity_forest(g: SignedGraph, edge_ids: Iterable[int]) -> tuple[int, int, l
     for eid in edge_ids:
         if not 0 <= eid < m:
             raise EdgeOutOfRange(f"edge id {eid} out of range")
-        _, u, v, sign = edges[eid]
-        odd = sign == -1
+        u, v, odd = us[eid], vs[eid], signs[eid] == -1
         while parent[u] != u:
             up = parent[u]
             parity[u] ^= parity[up]
@@ -272,14 +269,11 @@ def _coloops(g: SignedGraph, components: ComponentPartition) -> frozenset[int]:
     "Signed graphs", 1982).  So the coloops are the one-edge classes that are
     not positive loops.
     """
-    out = set()
-    for cls in components.classes:
-        if len(cls) == 1:
-            (eid,) = cls
-            _, u, v, sign = g.edges[eid]
-            if u != v or sign == -1:
-                out.add(eid)
-    return frozenset(out)
+    us, vs, signs = g._u, g._v, g._sign
+    return frozenset(
+        eid for cls in components.classes if len(cls) == 1
+        for eid in cls if us[eid] != vs[eid] or signs[eid] == -1
+    )
 
 
 def is_quasibalanced(
@@ -331,15 +325,15 @@ def _has_partner(g: SignedGraph, block: frozenset[int], cycle: frozenset[int]) -
     on_cycle = _vertex_set(g, cycle)
     free: list[int] = []
     attached: list[tuple[int, int, bool]] = []
-    edges = g.edges
+    us, vs, signs = g._u, g._v, g._sign
     for eid in block - cycle:
-        _, u, v, sign = edges[eid]
+        u, v = us[eid], vs[eid]
         if u not in on_cycle and v not in on_cycle:
             free.append(eid)
         elif u not in on_cycle:
-            attached.append((v, u, sign == -1))
+            attached.append((v, u, signs[eid] == -1))
         elif v not in on_cycle:
-            attached.append((u, v, sign == -1))
+            attached.append((u, v, signs[eid] == -1))
     _, unbalanced, parent, parity = _parity_forest(g, free)
     if unbalanced:
         return True

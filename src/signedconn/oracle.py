@@ -286,14 +286,13 @@ def _connecting_paths(
         ]
         while stack:
             at, visited, used = stack.pop()
-            for e in g.adjacency[at]:
-                w = e.other(at)
+            for eid, w, _ in g.adjacency[at]:
                 if w in visited:
                     continue
                 if w in v2:
-                    out.append(used | {e.id})
+                    out.append(used | {eid})
                 elif w not in v1:
-                    stack.append((w, visited | {w}, used | {e.id}))
+                    stack.append((w, visited | {w}, used | {eid}))
     return out
 
 
@@ -430,8 +429,7 @@ def brute_is_bipartite(g: SignedGraph) -> bool:
         frontier = [root]
         while frontier:
             v = frontier.pop()
-            for e in g.adjacency[v]:
-                w = e.other(v)
+            for _, w, _ in g.adjacency[v]:
                 if w == v:
                     return False  # a loop is an odd closed walk
                 if color[w] == 0:

@@ -112,46 +112,31 @@ def is_sign_block(g: SignedGraph) -> bool:
     return not sign_articulation_vertices(g)
 
 
-def _negative_flags(g: SignedGraph) -> list[bool]:
-    """Per component, whether it holds a negative edge."""
-    sp = g.spine
-    flags = [False] * len(sp.comp_frustrated)
-    for e in g.edges:
-        if e.sign == -1:
-            flags[sp.comp[e.u]] = True
-    return flags
-
-
 def positive_components(g: SignedGraph) -> ComponentPartition:
     """Maximal sets in which every vertex pair is joined by a positive chain.
 
     Unbalanced components and all-positive components stay whole; a balanced
     component with a negative edge splits into its two bipartition sides.  A
-    component with no edges counts as all positive.
+    component with no edges counts as all positive.  A balanced component's
+    edges have the signs of their ends' potentials, so it holds a negative
+    edge iff its switched side (potential -1) is not empty.
     """
     sp = g.spine
     classes: list[frozenset[int]] = []
-    for comp, frustrated, has_negative in zip(
-        connected_components(g), sp.comp_frustrated, _negative_flags(g)
-    ):
-        if frustrated or not has_negative:
-            classes.append(comp)
-            continue
-        switched = frozenset(v for v in comp if sp.pot[v] == -1)
-        classes.append(comp - switched)
-        classes.append(switched)
+    for comp, frustrated in zip(connected_components(g), sp.comp_frustrated):
+        switched = frozenset() if frustrated else frozenset(v for v in comp if sp.pot[v] == -1)
+        classes += [comp - switched, switched] if switched else [comp]
     return ComponentPartition("positive", _sorted_classes(classes))
 
 
 def negative_components(g: SignedGraph) -> ComponentPartition:
     """Maximal sets in which vertex pairs are negatively connected, directly
-    or through a common negatively-connected neighbor."""
+    or through a common negatively-connected neighbor.  A balanced component
+    holds a negative edge iff a vertex has potential -1."""
     sp = g.spine
     classes: list[frozenset[int]] = []
-    for comp, frustrated, has_negative in zip(
-        connected_components(g), sp.comp_frustrated, _negative_flags(g)
-    ):
-        if frustrated or has_negative:
+    for comp, frustrated in zip(connected_components(g), sp.comp_frustrated):
+        if frustrated or any(sp.pot[v] == -1 for v in comp):
             classes.append(comp)
         else:
             classes.extend(frozenset([v]) for v in comp)

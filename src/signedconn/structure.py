@@ -129,7 +129,7 @@ def _block_decomposition(g: SignedGraph) -> BlockDecomposition:
             continue
         # a loop is a block of its own, so its vertex lies in a second block
         # as soon as it has another incident edge
-        negative = g.edges[eid].sign == -1
+        negative = g._sign[eid] == -1
         rows.append(([eid], [d], not negative, negative, sp.comp[d]))
         if len(g.adjacency[d]) >= 2:
             articulation.add(d)
@@ -193,8 +193,7 @@ def _necklace_constituents(
     # an edge between two vertices of the block lies in the block, for two
     # blocks share at most one vertex; a loop is a block of its own
     for a in S:
-        for eid, p, q, sign in adjacency[a]:
-            b = q if p == a else p
+        for eid, b, sign in adjacency[a]:
             if a < b and b in S:
                 groups.setdefault((a, b, sign), set()).add(eid)
     pot: dict[int, int] = {}  # sign of a path from the bridge's root
@@ -207,10 +206,9 @@ def _necklace_constituents(
         stack = [root]
         while stack:
             v = stack.pop()
-            for eid, p, q, sign in adjacency[v]:
+            for eid, w, sign in adjacency[v]:
                 if eid not in block_edges:
                     continue
-                w = q if p == v else p
                 bridge.add(eid)
                 if w in S:
                     ends[w] = pot[v] * sign
@@ -286,16 +284,9 @@ def is_cactus_forest(g: SignedGraph) -> bool:
 
 def is_contrabalanced(g: SignedGraph) -> bool:
     """True iff the graph has no positive cycle: it must be a cactus forest
-    whose cycle blocks are all negative."""
-    for es, vs, _, _, _ in block_decomposition(g).rows:
-        if len(es) != len(vs) or not es:
-            if len(es) > 1:
-                return False
-            continue
-        sign = 1
-        for eid in es:
-            sign *= g.edges[eid].sign
-        if sign == +1:
+    whose cycle blocks (loops included) are all negative, that is unbalanced."""
+    for es, vs, balanced, _, _ in block_decomposition(g).rows:
+        if len(es) > len(vs) or (balanced and len(es) == len(vs)):
             return False
     return True
 
@@ -398,14 +389,14 @@ def classify_hypercyclic(g: SignedGraph, w: Walk) -> HypercyclicVerdict:
         return _NOT
     incident: dict[int, set[int]] = {v: set() for v in seq}
     for eid in used:
-        incident[g.edges[eid].u].add(eid)
-        incident[g.edges[eid].v].add(eid)
+        incident[g._u[eid]].add(eid)
+        incident[g._v[eid]].add(eid)
     toward: dict[int, tuple[int, int]] = {}  # pruned vertex -> (edge, next vertex)
     pendant = [v for v, es in incident.items() if len(es) == 1]
     while pendant:
         v = pendant.pop()
         (eid,) = incident[v]
-        nxt = g.edges[eid].other(v)
+        nxt = g._v[eid] if g._u[eid] == v else g._u[eid]
         if nxt == v:
             continue  # a lone loop is the cycle
         toward[v] = (eid, nxt)
@@ -415,7 +406,7 @@ def classify_hypercyclic(g: SignedGraph, w: Walk) -> HypercyclicVerdict:
     cyc = frozenset(used.keys() - {eid for eid, _ in toward.values()})
     sign = 1
     for eid in cyc:
-        sign *= g.edges[eid].sign
+        sign *= g._sign[eid]
     if sign != -1 or any(used[eid] != 1 for eid in cyc):
         return _NOT
 

@@ -447,8 +447,7 @@ def _check_suite_6(g: SignedGraph, fail):
             fail("several cycles but sign isthmi differ from isthmi")
             return
     if connected and g.m >= 2:
-        pendant = any(len(g.adjacency[v]) == 1 and g.adjacency[v][0].u != g.adjacency[v][0].v
-                      for v in range(g.n))
+        pendant = any(len(g.adjacency[v]) == 1 and g.adjacency[v][0][1] != v for v in range(g.n))
         cond = ncyc >= 2 and not pendant
         fconn = matroid.is_frame_connected(g)
         fi = matroid.frame_isthmi(g)

@@ -17,6 +17,18 @@ def graphs(max_n=5, max_m=6):
     )
 
 
+def edge_adjacency(g):
+    """Per vertex, its incident `Edge`s in id order, a loop once: the
+    adjacency a graph held before it held plain (edge id, other end, sign)
+    tuples, which the reference bodies in the tests read."""
+    adj = [[] for _ in range(g.n)]
+    for e in g.edges:
+        adj[e.u].append(e)
+        if e.v != e.u:
+            adj[e.v].append(e)
+    return tuple(map(tuple, adj))
+
+
 def complete_with_two_negative_edges(n):
     """K_n with the disjoint edges 01 and 23 negative: the triangles 014 and
     235 are disjoint negative cycles."""

@@ -1,18 +1,21 @@
 """The command surface: every answer is the library's answer, exit codes 0/1/2."""
 
+import hashlib
 import json
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 import signedconn
-from signedconn import SignedGraph, balance, core, matroid, structure, sweep
+from signedconn import Edge, SignedGraph, balance, core, matroid, structure, sweep
 from signedconn.cli import build_report, main
-from signedconn.io import FIXTURE_NAMES, emit, fixture
+from signedconn.io import FIXTURE_NAMES, emit, fixture, parse
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +149,76 @@ NECKLACE = SignedGraph.from_triples(
 )
 
 
+def _shape_triples():
+    """One seeded graph of each shape the analyze benchmark draws from: a
+    ring of six balanced K4 beads, K9 with random signs, a forest of four
+    random parts and a random tree with a negative triangle hung on it."""
+    rng = random.Random(25)
+    bead_ends = [3 * i for i in range(6)]
+    necklace = [
+        (a, b, -1 if i == 0 and a == 0 else 1)  # bead 0 switched at vertex 0
+        for i, x in enumerate(bead_ends)
+        for a, b in combinations((x, x + 1, x + 2, (x + 3) % 18), 2)
+    ]
+    complete = [(a, b, rng.choice((1, -1))) for a, b in combinations(range(9), 2)]
+    forest = []
+    for part in range(4):
+        at = 8 * part
+        forest += [(at + rng.randrange(v), at + v, rng.choice((1, -1))) for v in range(1, 8)]
+        forest += [(at + rng.randrange(8), at + rng.randrange(8), rng.choice((1, -1))) for _ in range(2)]
+    tree = [(rng.randrange(v), v, rng.choice((1, -1))) for v in range(1, 50)]
+    tree += [(0, 50, 1), (50, 51, 1), (51, 52, 1), (52, 50, -1)]
+    return {
+        "necklace": (18, necklace),
+        "complete": (9, complete),
+        "forest": (32, forest),
+        "tree_triangle": (53, tree),
+    }
+
+
+# sha256 of `json.dumps(report, indent=2)`, first 16 hex digits, as the
+# library gave them while a graph still held its `Edge` tuples
+_REPORT_DIGESTS = {
+    "P2": "d1849fc2a5e2b213",
+    "N2": "5dfd4aab36fbdb41",
+    "T+": "87096a19c81a4eb0",
+    "T-": "8a34ac81c45ee5b2",
+    "NEGLOOP": "376a285daddef31b",
+    "NECK2": "952473c6cc1be203",
+    "TIGHT": "927263eb9f188bdd",
+    "LOOSE": "1045550a3de5bb5d",
+    "THETA": "0396591a731c1afa",
+    "UK4": "824e86a7d38f5ecc",
+    "DISJB": "ac406eeb8575df10",
+    "C4": "3b238494884a6bbe",
+    "C5": "89fab32927c6142b",
+    "necklace": "d3f0cf4189f0f887",
+    "complete": "e060d242218a1c9b",
+    "forest": "37660ab1aba2aa37",
+    "tree_triangle": "b06bd76b0439835a",
+}
+
+
+def _no_edge(*args, **kwargs):
+    raise AssertionError("an Edge was built")
+
+
+@pytest.mark.parametrize("name", list(_REPORT_DIGESTS))
+def test_the_analyze_path_builds_no_edge(name, monkeypatch):
+    """`analyze --json` parses into edge columns and reads only them and the
+    incidence: with `Edge` construction raising, the report is the same."""
+    if name in FIXTURE_NAMES:
+        text = emit(fixture(name))
+    else:
+        text = emit(SignedGraph.from_triples(*_shape_triples()[name]))
+    monkeypatch.setattr(Edge, "__new__", _no_edge)
+    monkeypatch.setattr(Edge, "_make", classmethod(_no_edge))
+    g = parse(text)
+    report = json.dumps(build_report(g), indent=2)
+    assert hashlib.sha256(report.encode()).hexdigest()[:16] == _REPORT_DIGESTS[name]
+    assert "edges" not in vars(g)
+
+
 @pytest.mark.parametrize("name", FIXTURE_NAMES + ("necklace",))
 def test_report_makes_one_full_pass_of_its_graph(name, monkeypatch):
     """One spine, on any graph, and no graph built: every field reads the
@@ -153,18 +226,18 @@ def test_report_makes_one_full_pass_of_its_graph(name, monkeypatch):
     g = NECKLACE if name == "necklace" else fixture(name)
     spines, graphs = [], []
     init = core._Spine.__init__
-    post_init = core.SignedGraph.__post_init__
+    of_columns = core.SignedGraph._of_columns  # every graph the library builds
 
     def counting_init(self, graph):
         spines.append(graph)
         init(self, graph)
 
-    def counting_post_init(self):
-        graphs.append(self)
-        post_init(self)
+    def counting_of_columns(cls, *columns):
+        graphs.append(columns)
+        return of_columns(*columns)
 
     monkeypatch.setattr(core._Spine, "__init__", counting_init)
-    monkeypatch.setattr(core.SignedGraph, "__post_init__", counting_post_init)
+    monkeypatch.setattr(core.SignedGraph, "_of_columns", classmethod(counting_of_columns))
     build_report(g)
     assert len(spines) == 1 and spines[0] is g
     assert graphs == []

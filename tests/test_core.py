@@ -64,6 +64,32 @@ class TestEdge:
         with pytest.raises(error):
             SignedGraph(3, edges)
 
+    @pytest.mark.parametrize(
+        "n, triples, error",
+        [
+            (2, [(0.5, 1, 1)], VertexOutOfRange),
+            (2, [(0, 1.0, 1)], VertexOutOfRange),
+            (2, [(True, 1, 1)], VertexOutOfRange),
+            (2.0, [(0, 1, 1)], VertexOutOfRange),
+            (True, [], VertexOutOfRange),
+            (-1, [], VertexOutOfRange),
+            (2, [(0, 1, 1.0)], ValueError),
+            (2, [(0, 1, True)], ValueError),
+            (2, [(0, 1, -1.0)], ValueError),
+        ],
+        ids=["float vertex", "float end", "bool vertex", "float n", "bool n", "negative n",
+             "float sign", "bool sign", "float negative sign"],
+    )
+    def test_values_that_are_not_ints_are_rejected_when_the_graph_is_built(self, n, triples, error):
+        """Each value is checked once, when the graph is built, whichever way:
+        a vertex in range but not an int used to pass and fail later, in the
+        adjacency, with a bare TypeError."""
+        with pytest.raises(error):
+            SignedGraph.from_triples(n, triples)
+        edges = [Edge(i, u, v, sign) for i, (u, v, sign) in enumerate(triples)]
+        with pytest.raises(error):
+            SignedGraph(n, edges)
+
 
 class TestWalkSign:
     def test_two_positive_steps(self):

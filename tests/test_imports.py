@@ -80,15 +80,15 @@ def test_oracle_imports_only_core_and_errors():
     assert set(_package_imports(PACKAGE / "oracle.py")) <= {"core", "errors"}
 
 
-def test_only_the_graph_the_decomposition_and_the_sweep_result_are_dataclasses():
+def test_only_the_decomposition_and_the_sweep_result_are_dataclasses():
     """The value types are named tuples, which cost far less to create at
-    import than generated dataclasses.  `SignedGraph` and
-    `BlockDecomposition` keep values in a `__dict__`, and `SweepResult` is
-    mutable."""
+    import than generated dataclasses.  `BlockDecomposition` keeps values in
+    a `__dict__`, and `SweepResult` is mutable.  `SignedGraph` is a plain
+    class over its edge columns."""
     dataclasses_found = set()
     for path in MODULES:
         module = importlib.import_module(f"signedconn.{path.stem}")
         for obj in vars(module).values():
             if isinstance(obj, type) and obj.__module__ == module.__name__ and is_dataclass(obj):
                 dataclasses_found.add(obj.__name__)
-    assert dataclasses_found == {"SignedGraph", "BlockDecomposition", "SweepResult"}
+    assert dataclasses_found == {"BlockDecomposition", "SweepResult"}

@@ -10,7 +10,7 @@ from signedconn import SignedGraph
 from signedconn import oracle
 from signedconn.io import fixture
 
-from conftest import graphs
+from conftest import edge_adjacency, graphs
 
 K4 = SignedGraph.from_triples(
     4, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, 1), (2, 3, 1)]
@@ -226,12 +226,13 @@ def _chain_signs_by_rounds(g):
     up to 2n rounds: the reference for `oracle._closure`, which
     `oracle.chain_sign_table` reads."""
     table = []
+    adjacency = edge_adjacency(g)
     for x in range(g.n):
         states = {(x, +1)}
         for _ in range(2 * g.n):
             new = set(states)
             for v, s in states:
-                for e in g.adjacency[v]:
+                for e in adjacency[v]:
                     new.add((e.other(v), s * e.sign))
             if new == states:
                 break
@@ -311,12 +312,12 @@ class TestRewritesAgreeWithTheirReferences:
 
 def _chain_signs_by_worklist(g):
     """Per start x, the closure of the walk states (vertex, accumulated
-    sign) from (x, +1): a worklist over `g.adjacency` in which each of the
+    sign) from (x, +1): a worklist over the `Edge` adjacency in which each of the
     2n states is expanded once, when it is first reached."""
     sign_sets = (frozenset(), frozenset({+1}), frozenset({-1}), frozenset({+1, -1}))
     steps = [
         [(e.v if e.u == v else e.u, 3 if e.sign < 0 else 0) for e in edges]
-        for v, edges in enumerate(g.adjacency)
+        for v, edges in enumerate(edge_adjacency(g))
     ]
     table = []
     for x in range(g.n):
@@ -509,6 +510,7 @@ class TestKeptObjectsAgreeWithTheirReferences:
         def no_graph(*args, **kwargs):
             raise AssertionError("a SignedGraph was built")
 
-        monkeypatch.setattr(SignedGraph, "__post_init__", no_graph)
+        # every graph the library builds is made by `_of_columns`
+        monkeypatch.setattr(SignedGraph, "_of_columns", no_graph)
         got = (oracle.brute_sign_isthmi(g), oracle.brute_sign_articulation_vertices(g))
         assert got == want == (frozenset({6}), frozenset({0, 3}))

@@ -27,7 +27,7 @@ from signedconn import _cycles, structure
 from signedconn.cli import build_report
 from signedconn.io import fixture, fixtures
 
-from conftest import complete_with_two_negative_edges, graphs
+from conftest import complete_with_two_negative_edges, edge_adjacency, graphs
 
 K4 = SignedGraph.from_triples(
     4, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, 1), (2, 3, 1)]
@@ -310,6 +310,7 @@ def _reference_necklace_constituents(g, block_edges, block_vertices, S):
     if len(S) < 2:
         return None
     groups = {}
+    adjacency = edge_adjacency(g)
     for eid in block_edges:
         _, u, v, sign = g.edges[eid]
         if u in S and v in S:
@@ -322,7 +323,7 @@ def _reference_necklace_constituents(g, block_edges, block_vertices, S):
         edges, ends, stack = [], {}, [root]
         while stack:
             v = stack.pop()
-            for eid, p, q, sign in g.adjacency[v]:
+            for eid, p, q, sign in adjacency[v]:
                 if eid not in block_edges:
                     continue
                 w = q if p == v else p
@@ -696,6 +697,7 @@ def test_hypercyclic_matches_cycle_enumeration():
             v = u if rng.random() < 0.1 else rng.randrange(n)
             triples.append((u, v, rng.choice((1, -1))))
         g = SignedGraph.from_triples(n, triples)
+        adjacency = edge_adjacency(g)
         for _ in range(10):
             start = at = rng.randrange(n)
             came = {start: None}
@@ -703,8 +705,8 @@ def test_hypercyclic_matches_cycle_enumeration():
             for _ in range(rng.randint(0, 9)):
                 if came[at] is not None and rng.random() < 0.3:
                     e = came[at]
-                elif g.adjacency[at]:
-                    e = rng.choice(g.adjacency[at])
+                elif adjacency[at]:
+                    e = rng.choice(adjacency[at])
                 else:
                     break
                 steps.append((e.id, e.u == at))
