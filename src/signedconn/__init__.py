@@ -30,7 +30,6 @@ from .core import (
     walk_sign,
 )
 from .errors import (
-    BudgetExceeded,
     CycleBudgetExceeded,
     EdgeOutOfRange,
     GraphSyntaxError,

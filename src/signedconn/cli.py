@@ -64,6 +64,18 @@ _COMPONENT_KINDS = {
     "negative": negative_components,
 }
 
+_ISTHMUS_KINDS = {
+    "graph": lambda g: structure.block_decomposition(g).bridges,
+    "sign": sign_isthmi,
+    "frame": matroid.frame_isthmi,
+    "lift": matroid.lift_isthmi,
+}
+
+_ARTICULATION_KINDS = {
+    "graph": lambda g: structure.block_decomposition(g).articulation_vertices,
+    "sign": sign_articulation_vertices,
+}
+
 
 def _cmd_analyze(args) -> int:
     g = _load(args.file)
@@ -121,27 +133,9 @@ def _cmd_components(args) -> int:
     return 0
 
 
-def _cmd_isthmi(args) -> int:
+def _cmd_ids(args) -> int:
     g = _load(args.file)
-    if args.kind == "graph":
-        ids = structure.block_decomposition(g).bridges
-    elif args.kind == "sign":
-        ids = sign_isthmi(g)
-    elif args.kind == "frame":
-        ids = matroid.frame_isthmi(g)
-    else:
-        ids = matroid.lift_isthmi(g)
-    print(" ".join(str(i) for i in sorted(ids)))
-    return 0
-
-
-def _cmd_articulation(args) -> int:
-    g = _load(args.file)
-    if args.kind == "graph":
-        vs = structure.block_decomposition(g).articulation_vertices
-    else:
-        vs = sign_articulation_vertices(g)
-    print(" ".join(str(v) for v in sorted(vs)))
+    print(" ".join(str(i) for i in sorted(args.kinds[args.kind](g))))
     return 0
 
 
@@ -223,14 +217,14 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_components)
 
     p = sub.add_parser("isthmi", help="isthmi of a given kind")
-    p.add_argument("--kind", choices=["graph", "sign", "frame", "lift"], required=True)
+    p.add_argument("--kind", choices=list(_ISTHMUS_KINDS), required=True)
     p.add_argument("file")
-    p.set_defaults(fn=_cmd_isthmi)
+    p.set_defaults(fn=_cmd_ids, kinds=_ISTHMUS_KINDS)
 
     p = sub.add_parser("articulation", help="articulation vertices")
-    p.add_argument("--kind", choices=["graph", "sign"], required=True)
+    p.add_argument("--kind", choices=list(_ARTICULATION_KINDS), required=True)
     p.add_argument("file")
-    p.set_defaults(fn=_cmd_articulation)
+    p.set_defaults(fn=_cmd_ids, kinds=_ARTICULATION_KINDS)
 
     p = sub.add_parser("rank", help="matroid rank of an edge set")
     p.add_argument("--kind", choices=["frame", "lift"], required=True)

@@ -36,19 +36,10 @@ class Edge(NamedTuple):
 
 
 class SignedGraph:
-    """n vertices and the edges `Edge(id, u, v, sign)`, ids 0..m-1, from the
-    `Edge`s themselves or numbered (u, v, sign) triples (`from_triples`); a
-    vertex must be an int in 0..n-1 and a sign the int +1 or -1.  Two graphs
-    are equal iff they have the same n and the same edges."""
-
-    def __init__(self, n: int, edges: Iterable[Edge]):
-        edges = tuple(edges)
-        for i, e in enumerate(edges):
-            if type(e) is not Edge:
-                raise TypeError(f"edge {i} is a {type(e).__name__}, not an Edge")
-            if e.id != i:
-                raise EdgeOutOfRange(f"edge ids must be dense, got {e.id} at {i}")
-        vars(self).update(vars(SignedGraph.from_triples(n, [e[1:] for e in edges])), edges=edges)
+    """n vertices and the edges `Edge(id, u, v, sign)`, ids 0..m-1, built from
+    numbered (u, v, sign) triples by `from_triples`; a vertex must be an int
+    in 0..n-1 and a sign the int +1 or -1.  Two graphs are equal iff they have
+    the same n and the same edges."""
 
     @classmethod
     def from_triples(cls, n: int, triples: Iterable[tuple[int, int, Sign]]) -> "SignedGraph":
@@ -114,8 +105,9 @@ class SignedGraph:
         return Edge(eid, self._u[eid], self._v[eid], self._sign[eid])
 
     def check_vertex(self, x: int) -> None:
-        if not 0 <= x < self.n:
-            raise VertexOutOfRange(f"vertex {x} out of range")
+        """Refuse anything but an int in 0..n-1, as `from_triples` does."""
+        if type(x) is not int or not 0 <= x < self.n:
+            raise VertexOutOfRange(f"vertex {x!r} out of range")
 
     def subgraph_of_edges(self, edge_ids: Iterable[int]) -> "SignedGraph":
         """Spanning subgraph (same vertex set) keeping only the given edges.
@@ -369,7 +361,7 @@ def chain_with_sign(g: SignedGraph, x: int, y: int, sign: Sign) -> Optional[Walk
     """A shortest chain from x to y with the requested sign, or None."""
     g.check_vertex(x)
     g.check_vertex(y)
-    if sign not in (+1, -1):
+    if type(sign) is not int or not (sign == 1 or sign == -1):
         raise ValueError(f"chain sign must be +1 or -1, got {sign!r}")
     return _cover_walk(g, _cover_search(g, x), x, y, sign)
 

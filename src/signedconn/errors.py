@@ -29,12 +29,8 @@ class NotABlock(SignedGraphError):
     """The given edge set is not a block of the graph."""
 
 
-class BudgetExceeded(SignedGraphError):
-    """An enumeration passed its configured cap."""
-
-
-class CycleBudgetExceeded(BudgetExceeded):
-    """Negative-cycle enumeration passed its configured cap."""
+class CycleBudgetExceeded(SignedGraphError):
+    """A cycle enumeration passed its cap, `matroid.DEFAULT_CYCLE_BUDGET`."""
 
 
 class GraphSyntaxError(SignedGraphError):

@@ -4,7 +4,7 @@ matroid components, coloops, and quasibalance."""
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple
 
 from . import _cycles, structure
 from .core import SignedGraph, _kept, _vertex_set
@@ -276,9 +276,7 @@ def _coloops(g: SignedGraph, components: ComponentPartition) -> frozenset[int]:
     )
 
 
-def is_quasibalanced(
-    g: SignedGraph, max_cycles: Optional[int] = DEFAULT_CYCLE_BUDGET
-) -> bool:
+def is_quasibalanced(g: SignedGraph) -> bool:
     """True iff every two negative cycles share at least two vertices.
 
     Two unbalanced blocks give disjoint or once-meeting negative cycles, so the
@@ -289,7 +287,7 @@ def is_quasibalanced(
     it in at most one vertex, and the first partner answers False: first the
     fundamental cycles of the frustrated edges, which are negative and all lie
     in the block, then every cycle of the block as it is streamed.  Only a
-    search that finds none within max_cycles cycles raises
+    search that finds none within DEFAULT_CYCLE_BUDGET cycles raises
     CycleBudgetExceeded.
     """
     dec = structure.block_decomposition(g)
@@ -305,7 +303,7 @@ def is_quasibalanced(
     for eid, d, a in sp.frustrated:
         if _has_partner(g, block, sp.fundamental_cycle(eid, d, a)):
             return False
-    for cycle, sign in _cycles.iter_cycles(g, block, max_cycles):
+    for cycle, sign in _cycles.iter_cycles(g, block, DEFAULT_CYCLE_BUDGET):
         if sign == -1 and _has_partner(g, block, cycle):
             return False
     return True

@@ -17,6 +17,11 @@ def graphs(max_n=5, max_m=6):
     )
 
 
+def fresh_copy(g):
+    """An equal graph object with nothing computed and kept on it yet."""
+    return SignedGraph.from_triples(g.n, [e[1:] for e in g.edges])
+
+
 def edge_adjacency(g):
     """Per vertex, its incident `Edge`s in id order, a loop once: the
     adjacency a graph held before it held plain (edge id, other end, sign)
@@ -27,6 +32,11 @@ def edge_adjacency(g):
         if e.v != e.u:
             adj[e.v].append(e)
     return tuple(map(tuple, adj))
+
+
+def no_enumeration(*args, **kwargs):
+    """A stand-in for `_cycles.iter_cycles` where no cycle may be enumerated."""
+    raise AssertionError("cycles enumerated")
 
 
 def complete_with_two_negative_edges(n):

@@ -17,6 +17,8 @@ from signedconn import Edge, SignedGraph, balance, core, matroid, structure, swe
 from signedconn.cli import build_report, main
 from signedconn.io import FIXTURE_NAMES, emit, fixture, parse
 
+from conftest import fresh_copy
+
 
 @pytest.fixture(scope="module")
 def fixture_dir(tmp_path_factory):
@@ -78,6 +80,32 @@ class TestCommands:
         )
         assert code == 0 and out.strip() == "0 3"
 
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_every_isthmus_and_articulation_kind_prints_the_library_answer(
+        self, name, fixture_dir, capsys
+    ):
+        g = fixture(name)
+        dec = signedconn.block_decomposition(g)
+        answers = {
+            ("isthmi", "graph"): lambda: dec.bridges,
+            ("isthmi", "frame"): lambda: signedconn.frame_isthmi(g),
+            ("isthmi", "lift"): lambda: signedconn.lift_isthmi(g),
+            ("isthmi", "sign"): lambda: signedconn.sign_isthmi(g),
+            ("articulation", "graph"): lambda: dec.articulation_vertices,
+            ("articulation", "sign"): lambda: signedconn.sign_articulation_vertices(g),
+        }
+        for (command, kind), answer in answers.items():
+            code = main([command, "--kind", kind, str(fixture_dir / f"{name}.sg")])
+            out, err = capsys.readouterr()
+            try:
+                expected = " ".join(map(str, sorted(answer()))) + "\n"
+            except signedconn.SignedGraphError as exc:
+                assert (code, out, err) == (1, "", f"error: {exc}\n"), (command, kind)
+            else:
+                assert (code, out, err) == (0, expected, ""), (command, kind)
+            if kind == "sign" and not signedconn.is_sign_connected(g):
+                assert code == 1 and err.startswith("error: "), (command, kind)
+
     def test_analyze_json_round_trips(self, fixture_dir, capsys):
         code, out = run(capsys, "analyze", "--json", str(fixture_dir / "LOOSE.sg"))
         assert code == 0
@@ -138,6 +166,19 @@ class TestExitCodes:
     def test_precondition_failure_is_an_error(self, fixture_dir, capsys):
         # sign isthmi are undefined for balanced graphs
         assert main(["isthmi", "--kind", "sign", str(fixture_dir / "T+.sg")]) == 1
+
+    def test_a_cycle_search_past_its_budget_is_an_error(self, tmp_path, capsys):
+        # the Moebius ladder on 40 vertices with its two twist edges
+        # negative: one unbalanced block, no necklace, no partner among the
+        # fundamental cycles, and more than 100,000 cycles
+        n, half = 40, 20
+        rim = [(i, (i + 1) % n, -1 if i in (half - 1, n - 1) else 1) for i in range(n)]
+        rungs = [(i, i + half, 1) for i in range(half)]
+        path = tmp_path / "ladder.sg"
+        path.write_text(emit(SignedGraph.from_triples(n, rim + rungs)))
+        assert main(["analyze", "--json", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: more than 100000 cycles\n")
 
     def test_bad_edge_id(self, fixture_dir, capsys):
         assert main(["rank", "--kind", "frame", "--edges", "9", str(fixture_dir / "P2.sg")]) == 1
@@ -248,7 +289,7 @@ def test_report_finds_balancing_vertices_once(name, monkeypatch):
     """Sign articulation vertices and the necklace search share one
     computation of the balancing vertices, kept on the graph."""
     # a new graph object, so that nothing is kept on it from another test
-    g = SignedGraph(NECKLACE.n, NECKLACE.edges) if name == "necklace" else fixture(name)
+    g = fresh_copy(NECKLACE) if name == "necklace" else fixture(name)
     calls = []
     compute = balance._balancing_vertices
 
@@ -267,7 +308,7 @@ def test_report_finds_balancing_vertices_once(name, monkeypatch):
 def test_report_computes_each_kept_field_once(name, monkeypatch):
     """The fields that several report entries read are computed once per
     graph and kept on it."""
-    g = SignedGraph(NECKLACE.n, NECKLACE.edges) if name == "necklace" else fixture(name)
+    g = fresh_copy(NECKLACE) if name == "necklace" else fixture(name)
     calls = []
     for module, attr in (
         (structure, "_block_decomposition"),

@@ -650,7 +650,7 @@ def test_the_incidence_holds_plain_tuples_with_a_loop_once():
 
 def test_equality_hashing_pickling_and_immutability():
     triples = [(0, 1, 1), (1, 2, -1)]
-    a, b = SignedGraph.from_triples(3, triples), SignedGraph(3, [Edge(0, 0, 1, 1), Edge(1, 1, 2, -1)])
+    a, b = SignedGraph.from_triples(3, triples), SignedGraph.from_triples(3, list(triples))
     assert a == b and hash(a) == hash(b) and a is not b
     assert a != SignedGraph.from_triples(4, triples)
     assert a != SignedGraph.from_triples(3, [(0, 1, 1), (1, 2, 1)])

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from signedconn import (
     Edge,
-    EdgeOutOfRange,
     InvalidWalk,
     SignedGraph,
     VertexOutOfRange,
@@ -16,6 +15,7 @@ from signedconn import (
     sign_reachability,
     switch,
     walk_sign,
+    witness_chains,
 )
 from signedconn.io import fixture
 
@@ -47,22 +47,23 @@ class TestEdge:
         assert g.edges == (Edge(0, 0, 1, 1), Edge(1, 2, 2, -1))
         assert all(type(e) is Edge for e in g.edges)
 
+    def test_graphs_are_built_from_triples_alone(self):
+        with pytest.raises(TypeError):
+            SignedGraph(3, [Edge(0, 0, 1, 1), Edge(1, 1, 2, -1)])
+
     @pytest.mark.parametrize(
-        "edges, error",
+        "triples, error",
         [
-            ((Edge(1, 0, 1, 1),), EdgeOutOfRange),
-            ((Edge(0, 0, 1, 1), Edge(0, 1, 2, 1)), EdgeOutOfRange),
-            ((Edge(0, 0, 3, 1),), VertexOutOfRange),
-            ((Edge(0, -1, 1, 1),), VertexOutOfRange),
-            ((Edge(0, 0, 1, 0),), ValueError),
-            ((Edge(0, 0, 1, 2),), ValueError),
-            (((0, 0, 1, -1),), TypeError),
-            ((Edge(0, 0, 1, 1), (1, 1, 2, 1)), TypeError),
+            ([(0, 3, 1)], VertexOutOfRange),
+            ([(-1, 1, 1)], VertexOutOfRange),
+            ([(0, 1, 0)], ValueError),
+            ([(0, 1, 2)], ValueError),
         ],
+        ids=["end past n", "negative end", "zero sign", "sign 2"],
     )
-    def test_graph_rejects_bad_edges(self, edges, error):
+    def test_from_triples_rejects_values_out_of_range(self, triples, error):
         with pytest.raises(error):
-            SignedGraph(3, edges)
+            SignedGraph.from_triples(3, triples)
 
     @pytest.mark.parametrize(
         "n, triples, error",
@@ -81,14 +82,11 @@ class TestEdge:
              "float sign", "bool sign", "float negative sign"],
     )
     def test_values_that_are_not_ints_are_rejected_when_the_graph_is_built(self, n, triples, error):
-        """Each value is checked once, when the graph is built, whichever way:
-        a vertex in range but not an int used to pass and fail later, in the
-        adjacency, with a bare TypeError."""
+        """Each value is checked once, when the graph is built: a vertex in
+        range but not an int used to pass and fail later, in the adjacency,
+        with a bare TypeError."""
         with pytest.raises(error):
             SignedGraph.from_triples(n, triples)
-        edges = [Edge(i, u, v, sign) for i, (u, v, sign) in enumerate(triples)]
-        with pytest.raises(error):
-            SignedGraph(n, edges)
 
 
 class TestWalkSign:
@@ -170,7 +168,9 @@ class TestSignReachability:
         assert reach[0] == frozenset({+1})
         assert reach[1] == frozenset({-1})
 
-    @pytest.mark.parametrize("sign", [0, 2, "+", "-", None])
+    # a sign is checked as an edge sign is: the int +1 or -1, so neither
+    # True nor a float passes
+    @pytest.mark.parametrize("sign", [0, 2, "+", "-", None, True, 1.0, -1.0])
     def test_chain_sign_must_be_plus_or_minus_one(self, sign):
         with pytest.raises(ValueError):
             chain_with_sign(fixture("N2"), 0, 1, sign)
@@ -193,6 +193,30 @@ class TestSignReachability:
                         assert len(walk) <= 2 * g.n - 1
                     else:
                         assert walk is None
+
+
+class TestVertexArguments:
+    """A vertex argument is checked as a vertex of `from_triples` is: an int
+    in 0..n-1, so `True` and floats are refused before any work."""
+
+    @pytest.mark.parametrize("x", [True, 0.5, 1.0], ids=["bool", "float", "whole float"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g, x: sign_reachability(g, x),
+            lambda g, x: chain_with_sign(g, x, 2, -1),
+            lambda g, x: chain_with_sign(g, 0, x, -1),
+            lambda g, x: switch(g, [x]),
+            lambda g, x: witness_chains(g, x, 2),
+            lambda g, x: witness_chains(g, 0, x),
+            lambda g, x: Walk(x, ()).vertex_sequence(g),
+        ],
+        ids=["reachability", "chain start", "chain end", "switch", "witness start",
+             "witness end", "walk start"],
+    )
+    def test_a_vertex_that_is_not_an_int_is_refused(self, call, x):
+        with pytest.raises(VertexOutOfRange):
+            call(fixture("T-"), x)
 
 
 class TestGraphBasics:

@@ -28,7 +28,7 @@ from signedconn import _cycles, block_decomposition, matroid, oracle
 from signedconn.core import _vertex_set
 from signedconn.io import fixture
 
-from conftest import complete_with_two_negative_edges, graphs
+from conftest import complete_with_two_negative_edges, graphs, no_enumeration
 
 
 class TestClassifyCircuit:
@@ -105,7 +105,7 @@ class TestClassifyCircuit:
             assert cls.in_frame == (subset in frame) and cls.in_lift == (subset in lift)
 
     def test_pendant_vertex_or_surplus_edge_is_rejected_before_enumeration(self, monkeypatch):
-        monkeypatch.setattr(_cycles, "iter_cycles", _no_enumeration)
+        monkeypatch.setattr(_cycles, "iter_cycles", no_enumeration)
         # |F| = |V(F)| with a vertex of degree 1, and |F| = |V(F)| + 2
         for g in (self.PENDANT, self.CHORDED):
             assert classify_circuit(g, range(g.m)).verdict is CircuitVerdict.NOT_A_CIRCUIT
@@ -135,7 +135,7 @@ class TestClassifyCircuit:
         # negative 1,000-cycles at two vertices, joined by a 1,000-edge chain,
         # sharing a vertex, or apart; or three 1,000-edge paths between two
         # vertices
-        monkeypatch.setattr(_cycles, "iter_cycles", _no_enumeration)
+        monkeypatch.setattr(_cycles, "iter_cycles", no_enumeration)
         triples: list[tuple[int, int, int]] = []
         fresh = iter(range(2, 10_000))
 
@@ -163,10 +163,6 @@ class TestClassifyCircuit:
         if shape != "theta":
             assert cls.cycles == tuple(parts[:2])
             assert cls.chain == frozenset().union(*parts[2:])
-
-
-def _no_enumeration(*args, **kwargs):
-    raise AssertionError("cycles enumerated")
 
 
 class TestRanks:
@@ -414,22 +410,26 @@ class TestQuasibalance:
     def test_theta_with_overlapping_cycles(self):
         assert is_quasibalanced(fixture("THETA"))
 
-    def test_budget_is_enforced(self):
+    def test_budget_is_enforced(self, monkeypatch):
         # K4 with every edge negative: quasibalanced (its negative cycles are
         # the four triangles) but no necklace, so all 7 cycles are enumerated
         k4 = SignedGraph.from_triples(4, [(u, v, -1) for u in range(4) for v in range(u + 1, 4)])
         for budget in (2, 6):
+            monkeypatch.setattr(matroid, "DEFAULT_CYCLE_BUDGET", budget)
             with pytest.raises(CycleBudgetExceeded):
-                is_quasibalanced(k4, max_cycles=budget)
-        assert is_quasibalanced(k4, max_cycles=7)
+                is_quasibalanced(k4)
+        monkeypatch.setattr(matroid, "DEFAULT_CYCLE_BUDGET", 7)
+        assert is_quasibalanced(k4)
         # UK4 is a necklace: answered without enumerating a cycle
-        assert is_quasibalanced(fixture("UK4"), max_cycles=0) is True
+        monkeypatch.setattr(_cycles, "iter_cycles", no_enumeration)
+        assert is_quasibalanced(fixture("UK4")) is True
 
     @pytest.mark.parametrize("n", [5, 10, 12, 40])
-    def test_a_frustrated_fundamental_cycle_finds_the_partner(self, n):
+    def test_a_frustrated_fundamental_cycle_finds_the_partner(self, n, monkeypatch):
         # the triangles 014 and 234 meet in one vertex; no cycle is streamed
+        monkeypatch.setattr(_cycles, "iter_cycles", no_enumeration)
         g = complete_with_two_negative_edges(n)
-        assert is_quasibalanced(g, max_cycles=0) is False
+        assert is_quasibalanced(g) is False
 
     def test_the_partner_test_matches_its_reference(self):
         answers = Counter()

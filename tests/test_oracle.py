@@ -10,7 +10,7 @@ from signedconn import SignedGraph
 from signedconn import oracle
 from signedconn.io import fixture
 
-from conftest import edge_adjacency, graphs
+from conftest import edge_adjacency, fresh_copy, graphs
 
 K4 = SignedGraph.from_triples(
     4, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, 1), (2, 3, 1)]
@@ -19,7 +19,7 @@ K4 = SignedGraph.from_triples(
 
 class TestCycleEnumeration:
     def test_kept_answers_are_returned_as_copies(self):
-        g = SignedGraph(K4.n, K4.edges)
+        g = fresh_copy(K4)
         cycles = oracle.brute_cycles(g)
         table = oracle.chain_sign_table(g)
         oracle.brute_cycles(g).clear()
@@ -482,7 +482,7 @@ class TestKeptObjectsAgreeWithTheirReferences:
         assert min(seen.values()) >= 20, seen
 
     def test_kept_rows_are_read_in_place(self):
-        g = SignedGraph(K4.n, K4.edges)
+        g = fresh_copy(K4)
         rows = oracle._chain_sign_rows(g)
         oracle.brute_sign_components(g)
         oracle.brute_positive_components(g)

@@ -27,7 +27,7 @@ from signedconn import _cycles, structure
 from signedconn.cli import build_report
 from signedconn.io import fixture, fixtures
 
-from conftest import complete_with_two_negative_edges, edge_adjacency, graphs
+from conftest import complete_with_two_negative_edges, edge_adjacency, fresh_copy, graphs, no_enumeration
 
 K4 = SignedGraph.from_triples(
     4, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, 1), (2, 3, 1)]
@@ -465,7 +465,7 @@ class TestContainsTheta:
             raise AssertionError("a Block was built")
 
         monkeypatch.setattr(structure, "Block", no_block)
-        for g in (fixture("THETA"), SignedGraph(K4.n, K4.edges), fixture("TIGHT")):
+        for g in (fixture("THETA"), fresh_copy(K4), fixture("TIGHT")):
             contains_theta(g)
             assert "blocks" not in vars(block_decomposition(g))
 
@@ -601,9 +601,6 @@ class TestClassifyHypercyclic:
 
     @pytest.mark.parametrize("n", [12, 40])
     def test_walk_over_a_complete_graph_enumerates_no_cycle(self, n, monkeypatch):
-        def no_enumeration(*args, **kwargs):
-            raise AssertionError("cycles enumerated")
-
         monkeypatch.setattr(_cycles, "iter_cycles", no_enumeration)
         g = complete_with_two_negative_edges(n)
         eid = {(e.u, e.v): e.id for e in g.edges}

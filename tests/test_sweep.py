@@ -33,7 +33,7 @@ from signedconn import (
 from signedconn.errors import PreconditionError
 from signedconn.io import fixture
 
-from conftest import graphs
+from conftest import fresh_copy, graphs
 
 FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -485,7 +485,7 @@ def test_suite_9_catches_a_wrong_answer_on_a_deletion_suite_2_built(monkeypatch)
     g = SignedGraph.from_triples(4, [(0, 1, 1), (0, 1, -1), (1, 2, 1), (2, 3, 1)])
     piece = SignedGraph.from_triples(2, [(0, 1, 1)])
     assert sweep.check_graph(g) == []
-    g = SignedGraph(g.n, g.edges)  # nothing kept from the clean check
+    g = fresh_copy(g)  # nothing kept from the clean check
     real_connected, real_subgraph = sweep.is_sign_connected, SignedGraph.subgraph_of_edges
     built = []
     monkeypatch.setattr(sweep, "is_sign_connected", lambda h: h == piece or real_connected(h))
