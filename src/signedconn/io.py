@@ -8,7 +8,9 @@ File format::
 
 Comment lines start with '#'; blank lines are ignored.  Edge ids follow line
 order, repeated lines are parallel edges, u = v is a loop.  The vertex count
-is capped at `_MAX_N`, since every analysis allocates lists of length n.
+and the vertices are ASCII decimal digits; a vertex that reads as a number
+outside 0..n-1 is reported out of range.  The vertex count is capped at
+`_MAX_N`, since every analysis allocates lists of length n.
 """
 
 from __future__ import annotations
@@ -31,8 +33,11 @@ def parse(text: str) -> SignedGraph:
             continue
         if not line.startswith(_HEADER):
             raise GraphSyntaxError(lineno, f"expected header '{_HEADER}<int>'")
+        count = line[len(_HEADER):]
         try:
-            n = int(line[len(_HEADER):])
+            n = int(count)
+            if n >= 0 and not (count.isascii() and count.isdigit()):
+                raise ValueError(count)
         except ValueError:
             raise GraphSyntaxError(lineno, f"bad vertex count in {line!r}") from None
         if n < 0:
@@ -60,6 +65,8 @@ def parse(text: str) -> SignedGraph:
             err = VertexOutOfRange(f"line {lineno}: vertex out of range in {rawline.strip()!r}")
             err.line = lineno
             raise err
+        if not (a.isascii() and a.isdigit() and b.isascii() and b.isdigit()):
+            raise GraphSyntaxError(lineno, f"bad vertex in {rawline.strip()!r}")
         us.append(u)
         vs.append(v)
         signs.append(sign)

@@ -193,22 +193,12 @@ def brute_sign_components(g: SignedGraph) -> list[frozenset[int]]:
         [bits == 3 or x == y for y, bits in enumerate(row)]
         for x, row in enumerate(_chain_sign_rows(g))
     ]
-    classes = _relation_components(related)
-    for cls in classes:
-        for x in cls:
-            for y in cls:
-                assert related[x][y], "sign relation not transitive on a class"
-    return classes
+    return _clique_classes(related, "sign")
 
 
 def brute_positive_components(g: SignedGraph) -> list[frozenset[int]]:
     related = [[bits & 1 == 1 for bits in row] for row in _chain_sign_rows(g)]
-    classes = _relation_components(related)
-    for cls in classes:
-        for x in cls:
-            for y in cls:
-                assert related[x][y], "positive relation not transitive on a class"
-    return classes
+    return _clique_classes(related, "positive")
 
 
 def brute_negative_components(g: SignedGraph) -> list[frozenset[int]]:
@@ -225,6 +215,17 @@ def brute_negative_components(g: SignedGraph) -> list[frozenset[int]]:
         for x in range(g.n)
     ]
     return _relation_components(related)
+
+
+def _clique_classes(related: list[list[bool]], name: str) -> list[frozenset[int]]:
+    """The `_relation_components` of a relation that should be transitive,
+    each checked to be a clique of it."""
+    classes = _relation_components(related)
+    for cls in classes:
+        for x in cls:
+            for y in cls:
+                assert related[x][y], f"{name} relation not transitive on a class"
+    return classes
 
 
 def _relation_components(related: list[list[bool]]) -> list[frozenset[int]]:
@@ -331,27 +332,29 @@ def lift_independent(g: SignedGraph, subset: Iterable[int]) -> bool:
     return len(cycles) <= 1 and all(s == -1 for _, s in cycles)
 
 
+def _find(parent, a: int) -> int:
+    """The root of a in the union-find forest `parent` (a list or a dict,
+    each root its own parent), halving the path on the way."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
+
+
 def _edge_pieces(g: SignedGraph, subset: Iterable[int]) -> list[list[int]]:
     """Group an edge set by connectivity (through shared vertices)."""
     edges = sorted(set(subset))
     parent = {eid: eid for eid in edges}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     touch: dict[int, int] = {}
     for eid in edges:
         e = g.edges[eid]
         for v in (e.u, e.v):
             if v in touch:
-                parent[find(eid)] = find(touch[v])
+                parent[_find(parent, eid)] = _find(parent, touch[v])
             touch[v] = eid
     pieces: dict[int, list[int]] = {}
     for eid in edges:
-        pieces.setdefault(find(eid), []).append(eid)
+        pieces.setdefault(_find(parent, eid), []).append(eid)
     return list(pieces.values())
 
 
@@ -392,20 +395,13 @@ def circuit_closure(m: int, circuits: Iterable[frozenset[int]]) -> list[frozense
     sharing a circuit, by least edge; an edge in no circuit is its own
     class."""
     parent = list(range(m))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     for circ in circuits:
         ids = sorted(circ)
         for other in ids[1:]:
-            parent[find(other)] = find(ids[0])
+            parent[_find(parent, other)] = _find(parent, ids[0])
     classes: dict[int, set[int]] = {}
     for eid in range(m):
-        classes.setdefault(find(eid), set()).add(eid)
+        classes.setdefault(_find(parent, eid), set()).add(eid)
     return [frozenset(c) for c in sorted(classes.values(), key=min)]
 
 

@@ -64,35 +64,11 @@ class SweepResult:
 def _members(m: int) -> tuple[tuple[int, ...], ...]:
     """Per mask on m elements, the elements it holds, in increasing order.
 
-    This table and the two below depend on m alone, so each is built once
-    per edge count in a process and read by every graph with that many
-    edges: at most max_m + 1 of each.  `_family` is the one other cache, one
-    entry per circuit family met.  None of them holds graph data."""
+    It depends on m alone, so it is built once per edge count in a process
+    and read by every graph with that many edges: at most max_m + 1 tables.
+    `_family` is the one other cache, one entry per circuit family met.
+    Neither holds graph data."""
     return tuple(tuple(e for e in range(m) if mask >> e & 1) for mask in range(1 << m))
-
-
-@cache
-def _steps(m: int) -> tuple[tuple[int, int, int], ...]:
-    """(mask, e, mask + e) for every mask on m elements and every element e
-    outside it, by increasing mask, then increasing e."""
-    members, full = _members(m), (1 << m) - 1
-    return tuple(
-        (mask, e, mask | 1 << e) for mask in range(1 << m) for e in members[full ^ mask]
-    )
-
-
-@cache
-def _quadruples(m: int) -> tuple[tuple[int, int, int, int, int, int], ...]:
-    """(S, e, f, S+e, S+f, S+e+f) for every mask S on m elements and all
-    elements e < f outside it, by increasing S, then e, then f."""
-    members, full = _members(m), (1 << m) - 1
-    out = []
-    for mask in range(1 << m):
-        rest = members[full ^ mask]
-        for i, e in enumerate(rest):
-            for f in rest[i + 1:]:
-                out.append((mask, e, f, mask | 1 << e, mask | 1 << f, mask | 1 << e | 1 << f))
-    return tuple(out)
 
 
 def _rank_table(m: int, circuit_masks: Iterable[int]) -> list[int]:
@@ -101,34 +77,37 @@ def _rank_table(m: int, circuit_masks: Iterable[int]) -> list[int]:
 
     A mask that contains a circuit has the rank of its best one-element
     deletion; any other mask is independent, of rank its size, one more
-    than its best deletion.  One forward pass over `_steps` closes the
+    than its best deletion.  One forward pass by increasing mask closes the
     circuit marks under supersets and carries each rank up to the masks one
     element larger.  Every step goes from a mask to a larger one, so when
-    the pass leaves a mask, every step into it has been taken: its mark and
+    the pass reaches a mask, every step into it has been taken: its mark and
     its best deletion are final.
     """
-    size = 1 << m
+    size, full, members = 1 << m, (1 << m) - 1, _members(m)
     dependent = [False] * size
     for cm in circuit_masks:
         dependent[cm] = True
     best = [-1] * size  # the largest rank of a one-element deletion; -1: none
-    for mask, _, up in _steps(m):
-        if dependent[mask]:
-            dependent[up] = True
-            rank = best[mask]
-        else:
-            rank = best[mask] + 1
-        if rank > best[up]:
-            best[up] = rank
+    for mask in range(size):
+        closed = dependent[mask]
+        rank = best[mask] if closed else best[mask] + 1
+        for e in members[full ^ mask]:
+            up = mask | 1 << e
+            if closed:
+                dependent[up] = True
+            if rank > best[up]:
+                best[up] = rank
     return [b if d else b + 1 for b, d in zip(best, dependent)]
 
 
 def _unit_increase_violation(tab: list[int]) -> Optional[tuple[int, int]]:
     """The first (S, e), S a mask and e an element outside it, with r(S+e)
     neither r(S) nor r(S) + 1; None if the set function `tab` has none."""
-    for mask, e, up in _steps(len(tab).bit_length() - 1):
-        if not tab[mask] <= tab[up] <= tab[mask] + 1:
-            return mask, e
+    members, full = _members(len(tab).bit_length() - 1), len(tab) - 1
+    for mask, r in enumerate(tab):
+        for e in members[full ^ mask]:
+            if not r <= tab[mask | 1 << e] <= r + 1:
+                return mask, e
     return None
 
 
@@ -149,9 +128,14 @@ def _submodularity_violation(tab: list[int]) -> Optional[tuple[int, int, int]]:
     It takes C(m - |S|, 2) checks per S, 80 in all at m = 5, where the loop
     over all pairs of masks takes 528.
     """
-    for mask, e, f, with_e, with_f, with_ef in _quadruples(len(tab).bit_length() - 1):
-        if tab[with_e] + tab[with_f] < tab[with_ef] + tab[mask]:
-            return mask, e, f
+    members, full = _members(len(tab).bit_length() - 1), len(tab) - 1
+    for mask, r in enumerate(tab):
+        rest = members[full ^ mask]
+        for i, e in enumerate(rest):
+            with_e = mask | 1 << e
+            for f in rest[i + 1:]:
+                if tab[with_e] + tab[mask | 1 << f] < tab[with_e | 1 << f] + r:
+                    return mask, e, f
     return None
 
 
@@ -292,36 +276,26 @@ def _check_suite_4(g: SignedGraph, fail):
     """The library's ranks and circuit verdicts on every edge subset, then
     its coloops and components, against the oracle's circuits.  The oracle's
     side is read off the memoized `_family` of its frame and lift circuits;
-    every library answer is asked of g.  The masks are walked one by one
-    only to name the first disagreement: a rank, then a verdict, by mask."""
+    every library answer is asked of g.  The masks are walked once, in
+    increasing order, and the first disagreement is named: a rank, then a
+    verdict, by mask."""
     m = g.m
-    members = _members(m)
     frame_masks = frozenset(_mask(c) for c in oracle.enumerate_frame_circuits(g))
     lift_masks = frozenset(_mask(c) for c in oracle.enumerate_lift_circuits(g))
     frame, lift = _family(m, frame_masks), _family(m, lift_masks)
     frame_rank, lift_rank = matroid.frame_rank, matroid.lift_rank
     classify = matroid.classify_circuit
-    frame_lib, lift_lib, verdicts = zip(
-        *[(frame_rank(g, s), lift_rank(g, s), classify(g, s)) for s in members]
-    )
-    if (
-        frame_lib != frame.ranks
-        or lift_lib != lift.ranks
-        or {mask for mask, cls in enumerate(verdicts) if cls.in_frame} != frame_masks
-        or {mask for mask, cls in enumerate(verdicts) if cls.in_lift} != lift_masks
-    ):
-        for mask, subset in enumerate(members):
-            fr, lr = frame_lib[mask], lift_lib[mask]
-            if fr != frame.ranks[mask] or lr != lift.ranks[mask]:
-                fail(
-                    f"rank mismatch on {list(subset)}: frame {fr} vs {frame.ranks[mask]}, "
-                    f"lift {lr} vs {lift.ranks[mask]}"
-                )
-                return
-            cls = verdicts[mask]
-            if cls.in_frame != (mask in frame_masks) or cls.in_lift != (mask in lift_masks):
-                fail(f"classify_circuit({list(subset)}) = {cls.verdict} disagrees with oracle")
-                return
+    for mask, subset in enumerate(_members(m)):
+        fr, lr, cls = frame_rank(g, subset), lift_rank(g, subset), classify(g, subset)
+        if fr != frame.ranks[mask] or lr != lift.ranks[mask]:
+            fail(
+                f"rank mismatch on {list(subset)}: frame {fr} vs {frame.ranks[mask]}, "
+                f"lift {lr} vs {lift.ranks[mask]}"
+            )
+            return
+        if cls.in_frame != (mask in frame_masks) or cls.in_lift != (mask in lift_masks):
+            fail(f"classify_circuit({list(subset)}) = {cls.verdict} disagrees with oracle")
+            return
     # the library's tables are the oracle's here, so their axioms are too
     for family, label in ((frame, "frame"), (lift, "lift")):
         if family.defect is not None:

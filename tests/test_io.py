@@ -57,6 +57,26 @@ class TestParse:
         g = parse("  # a comment\n\t# another\nsigned-graph n=3\n   \n0\t1\t+\n 1  2\t+ \n\t2 0 -\n")
         assert g == fixture("T-")
 
+    def test_vertex_count_with_an_underscore_is_refused(self):
+        with pytest.raises(GraphSyntaxError) as exc:
+            parse("signed-graph n=1_0\n")
+        assert str(exc.value) == "line 1: bad vertex count in 'signed-graph n=1_0'"
+
+    def test_vertex_count_with_a_plus_sign_is_refused(self):
+        with pytest.raises(GraphSyntaxError) as exc:
+            parse("# c\nsigned-graph n=+3\n")
+        assert str(exc.value) == "line 2: bad vertex count in 'signed-graph n=+3'"
+
+    def test_vertex_minus_zero_is_refused(self):
+        with pytest.raises(GraphSyntaxError) as exc:
+            parse("signed-graph n=2\n-0 1 +\n")
+        assert str(exc.value) == "line 2: bad vertex in '-0 1 +'"
+
+    def test_vertices_in_arabic_indic_digits_are_refused(self):
+        with pytest.raises(GraphSyntaxError) as exc:
+            parse("signed-graph n=2\n0 1 +\n\u0660 \u0661 -\n")
+        assert str(exc.value) == "line 3: bad vertex in '\u0660 \u0661 -'"
+
     @pytest.mark.parametrize(
         "text, error, line, message",
         [

@@ -32,7 +32,8 @@ BY_VERTEX = {
 
 def _seeded_graph(seed):
     """One of three families, by seed: sparse random with m = 2n, a random
-    tree plus 3 edges, and a cycle with 1-5 chords; n up to 3,000."""
+    tree plus 3 edges, and a cycle with n // 50 + 1 chords of span 2-20;
+    n up to 3,000."""
     rng = random.Random(seed)
     n = rng.randint(3, 3000)
     if seed % 3 == 0:

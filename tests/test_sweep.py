@@ -384,6 +384,40 @@ def test_suite_4_catches_one_wrong_answer(monkeypatch, name, fault, message):
     assert [(v.suite, v.message) for v in found] == [(4, message)]
 
 
+# two faults on LOOSE: suite 4 walks the masks in increasing order and names
+# the first disagreement, a rank before a verdict on the same mask
+_SUITE_4_TWO_FAULTS = [
+    ([0, 1], [0, 1, 2],
+     "classify_circuit([0, 1]) = CircuitVerdict.DISJOINT_PAIR disagrees with oracle"),
+    ([0, 1], [0, 1], "rank mismatch on [0, 1]: frame 3 vs 2, lift 2 vs 2"),
+]
+
+
+@pytest.mark.parametrize(
+    "flipped, off_by_one, message", _SUITE_4_TWO_FAULTS, ids=["by-mask", "rank-first"]
+)
+def test_suite_4_names_only_the_first_of_two_faults(monkeypatch, flipped, off_by_one, message):
+    monkeypatch.setattr(matroid, "classify_circuit", _flipped_on(flipped, matroid.classify_circuit))
+    monkeypatch.setattr(matroid, "frame_rank", _off_by_one_on(off_by_one, matroid.frame_rank))
+    found = sweep.check_graph(fixture("LOOSE"), [4])
+    assert [(v.suite, v.message) for v in found] == [(4, message)]
+
+
+def test_suite_4_asks_every_rank_and_verdict_of_a_sound_graph(monkeypatch):
+    calls = {name: 0 for name in ("frame_rank", "lift_rank", "classify_circuit")}
+
+    def counted(name, real):
+        def patched(g, edge_ids):
+            calls[name] += 1
+            return real(g, edge_ids)
+        return patched
+
+    for name in calls:
+        monkeypatch.setattr(matroid, name, counted(name, getattr(matroid, name)))
+    assert sweep.check_graph(fixture("LOOSE"), [4]) == []
+    assert calls == {name: 1 << 7 for name in calls}
+
+
 @pytest.fixture
 def fresh_family_memo():
     """Suite 4's circuit-family memo emptied before and after the test: an
