@@ -37,12 +37,21 @@ def _load(path: str) -> SignedGraph:
     return io.parse(Path(path).read_text())
 
 
+def _decimal(token: str, what: str) -> int:
+    """A vertex or edge id from the command line: ASCII decimal digits only,
+    as in a graph file, so that `1_0`, `+3`, ` 3` or a non-ASCII digit is
+    refused rather than read as another number."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"bad {what} {token!r}: expected ASCII decimal digits")
+    return int(token)
+
+
 def _parse_edge_list(spec: str, g: SignedGraph) -> list[int]:
     if spec == "all":
         return list(range(g.m))
     if not spec:
         return []
-    ids = [int(part) for part in spec.split(",")]
+    ids = [_decimal(part, "edge id") for part in spec.split(",")]
     for eid in ids:
         g.edge(eid)  # range check
     return ids
@@ -156,7 +165,7 @@ def _cmd_circuit(args) -> int:
 
 def _cmd_witness(args) -> int:
     g = _load(args.file)
-    pair = witness_chains(g, args.x, args.y)
+    pair = witness_chains(g, _decimal(args.x, "vertex"), _decimal(args.y, "vertex"))
     print(" ".join(str(e) for e in pair.positive.edge_ids()))
     print(" ".join(str(e) for e in pair.negative.edge_ids()))
     return 0
@@ -239,8 +248,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="positive and negative chains between two vertices")
     p.add_argument("file")
-    p.add_argument("x", type=int)
-    p.add_argument("y", type=int)
+    p.add_argument("x")
+    p.add_argument("y")
     p.set_defaults(fn=_cmd_witness)
 
     p = sub.add_parser("check", help="exhaustive property sweep over small graphs")

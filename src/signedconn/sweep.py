@@ -1,7 +1,8 @@
 """Exhaustive verification of the theory's claims on all small signed graphs.
 
 Each numbered suite pits the analysis modules against the independent
-brute-force oracles; `run_sweep` drives the generator, checks the graphs on
+brute-force oracles: its check returns the message of its first failed check
+on a graph, or None.  `run_sweep` drives the generator, checks the graphs on
 every usable CPU and reports the first counterexample per suite.
 """
 
@@ -178,33 +179,31 @@ def _family(m: int, circuit_masks: frozenset[int]) -> _Family:
     )
 
 
-def _check_suite_1(g: SignedGraph, fail):
+def _check_suite_1(g: SignedGraph) -> Optional[str]:
     expected = (is_connected(g) and not is_balanced(g)) or g.n == 1
     sign_connected = is_sign_connected(g)
     if sign_connected != expected:
-        fail(f"is_sign_connected={sign_connected}, expected {expected}")
+        return f"is_sign_connected={sign_connected}, expected {expected}"
     got = set(sign_components(g).classes)
     want = set(oracle.brute_sign_components(g))
     if got != want:
-        fail(f"sign components {got} != reachability classes {want}")
+        return f"sign components {got} != reachability classes {want}"
 
 
-def _check_suite_2(g: SignedGraph, fail):
+def _check_suite_2(g: SignedGraph) -> Optional[str]:
     if is_balanced(g):
-        return
+        return None
     want = oracle.brute_balancing_edges(g)
     balancing = balancing_edges(g)
     if balancing != want:
-        fail(f"balancing edges {sorted(balancing)} != deletion oracle {sorted(want)}")
-        return
+        return f"balancing edges {sorted(balancing)} != deletion oracle {sorted(want)}"
     if not is_connected(g):
-        return
+        return None
     cycles = oracle.brute_cycles(g)
     for eid in range(g.m):
         rep = _balancing_edge_conditions(g, eid, cycles)
         if len(set(rep)) != 1:
-            fail(f"edge {eid}: conditions disagree {rep}")
-            return
+            return f"edge {eid}: conditions disagree {rep}"
 
 
 def _balancing_edge_conditions(
@@ -254,25 +253,23 @@ def _without(g: SignedGraph, eid: int) -> SignedGraph:
     return kept[eid]
 
 
-def _check_suite_3(g: SignedGraph, fail):
+def _check_suite_3(g: SignedGraph) -> Optional[str]:
     if not is_sign_connected(g) or g.n <= 1:
-        return
+        return None
     want = oracle.brute_sign_isthmi(g)
     si = sign_isthmi(g)
     if si != want:
-        fail(f"sign isthmi {sorted(si)} != deletion oracle {sorted(want)}")
-        return
+        return f"sign isthmi {sorted(si)} != deletion oracle {sorted(want)}"
     expected = structure.block_decomposition(g).bridges | balancing_edges(g)
     if expected != want:
-        fail(f"isthmi union balancing edges {sorted(expected)} != sign isthmi {sorted(want)}")
-        return
+        return f"isthmi union balancing edges {sorted(expected)} != sign isthmi {sorted(want)}"
     got = sign_articulation_vertices(g)
     want = oracle.brute_sign_articulation_vertices(g)
     if got != want:
-        fail(f"sign articulation vertices {sorted(got)} != deletion oracle {sorted(want)}")
+        return f"sign articulation vertices {sorted(got)} != deletion oracle {sorted(want)}"
 
 
-def _check_suite_4(g: SignedGraph, fail):
+def _check_suite_4(g: SignedGraph) -> Optional[str]:
     """The library's ranks and circuit verdicts on every edge subset, then
     its coloops and components, against the oracle's circuits.  The oracle's
     side is read off the memoized `_family` of its frame and lift circuits;
@@ -288,65 +285,54 @@ def _check_suite_4(g: SignedGraph, fail):
     for mask, subset in enumerate(_members(m)):
         fr, lr, cls = frame_rank(g, subset), lift_rank(g, subset), classify(g, subset)
         if fr != frame.ranks[mask] or lr != lift.ranks[mask]:
-            fail(
+            return (
                 f"rank mismatch on {list(subset)}: frame {fr} vs {frame.ranks[mask]}, "
                 f"lift {lr} vs {lift.ranks[mask]}"
             )
-            return
         if cls.in_frame != (mask in frame_masks) or cls.in_lift != (mask in lift_masks):
-            fail(f"classify_circuit({list(subset)}) = {cls.verdict} disagrees with oracle")
-            return
+            return f"classify_circuit({list(subset)}) = {cls.verdict} disagrees with oracle"
     # the library's tables are the oracle's here, so their axioms are too
     for family, label in ((frame, "frame"), (lift, "lift")):
         if family.defect is not None:
-            fail(f"{label} {family.defect}")
-            return
+            return f"{label} {family.defect}"
     fi, li = matroid.frame_isthmi(g), matroid.lift_isthmi(g)
     if fi != frame.free:
-        fail(f"frame coloops {sorted(fi)} != circuit-free edges")
-        return
+        return f"frame coloops {sorted(fi)} != circuit-free edges"
     if li != lift.free:
-        fail(f"lift coloops {sorted(li)} != circuit-free edges")
-        return
+        return f"lift coloops {sorted(li)} != circuit-free edges"
     if set(matroid.frame_components(g).classes) != frame.closure:
-        fail("frame components differ from circuit closure")
-        return
+        return "frame components differ from circuit closure"
     if set(matroid.lift_components(g).classes) != lift.closure:
-        fail("lift components differ from circuit closure")
+        return "lift components differ from circuit closure"
 
 
 def _mask(edge_ids: Iterable[int]) -> int:
     return sum(1 << e for e in edge_ids)
 
 
-def _check_suite_5(g: SignedGraph, fail):
+def _check_suite_5(g: SignedGraph) -> Optional[str]:
     sign_connected = is_sign_connected(g)
     # frame connection implies sign connection -- on unbalanced graphs; a
     # balanced graph can be frame connected (one positive cycle) while its
     # sign components are singletons, so the balanced case is excluded.
     if not is_balanced(g) or g.n == 1:
         if matroid.is_frame_connected(g) and not sign_connected:
-            fail("frame connected but not sign connected")
-            return
+            return "frame connected but not sign connected"
         if matroid.is_lift_connected(g):
             for comp in connected_components(g):
                 if len(comp) > 1:
                     sub = _induced(g, comp)
                     if not is_sign_connected(sub):
-                        fail("lift connected but a component is not sign connected")
-                        return
+                        return "lift connected but a component is not sign connected"
     if not sign_connected or g.n <= 1:
-        return
+        return None
     si, fi, li = sign_isthmi(g), matroid.frame_isthmi(g), matroid.lift_isthmi(g)
     if not fi <= si:
-        fail(f"frame isthmus outside sign isthmi {sorted(fi - si)}")
-        return
+        return f"frame isthmus outside sign isthmi {sorted(fi - si)}"
     if not li <= si:
-        fail(f"lift isthmus outside sign isthmi {sorted(li - si)}")
-        return
+        return f"lift isthmus outside sign isthmi {sorted(li - si)}"
     if not si <= li:
-        fail(f"sign isthmus that is no lift isthmus {sorted(si - li)}")
-        return
+        return f"sign isthmus that is no lift isthmus {sorted(si - li)}"
     # bridge sign isthmi: sides both sign connected iff not a frame isthmus,
     # iff both sides unbalanced -- provided neither side is a single vertex
     # (a lone vertex counts as sign connected yet makes the bridge a frame
@@ -366,11 +352,10 @@ def _check_suite_5(g: SignedGraph, fail):
         both_unbal = all(not bal for _, bal in sides)
         not_frame = eid not in fi
         if both_sc != not_frame or both_sc != both_unbal:
-            fail(
+            return (
                 f"bridge {eid}: sides sign connected={both_sc}, "
                 f"unbalanced={both_unbal}, frame isthmus={not not_frame}"
             )
-            return
 
 
 def _induced(g: SignedGraph, comp: frozenset[int]) -> SignedGraph:
@@ -383,43 +368,36 @@ def _induced(g: SignedGraph, comp: frozenset[int]) -> SignedGraph:
     return SignedGraph.from_triples(len(order), triples)
 
 
-def _check_suite_6(g: SignedGraph, fail):
+def _check_suite_6(g: SignedGraph) -> Optional[str]:
     cycles = oracle.brute_cycles(g)
     contra = structure.is_contrabalanced(g)
     no_pos = all(s == -1 for _, s in cycles)
     if contra != no_pos:
-        fail(f"is_contrabalanced={contra} but positive-cycle-free={no_pos}")
-        return
+        return f"is_contrabalanced={contra} but positive-cycle-free={no_pos}"
     cactus = structure.is_cactus_forest(g)
     theta = structure.contains_theta(g)
     if cactus != (theta is None):
-        fail(f"cactus={cactus} but theta={'found' if theta else 'none'}")
-        return
+        return f"cactus={cactus} but theta={'found' if theta else 'none'}"
     if theta is not None:
         defect = _theta_defect(g, theta)
         if defect:
-            fail(f"theta {theta}: {defect}")
-            return
+            return f"theta {theta}: {defect}"
         pos = _theta_positive_count(g, theta)
         if pos % 2 == 0:
-            fail(f"theta {theta} has an even number ({pos}) of positive cycles")
-            return
+            return f"theta {theta} has an even number ({pos}) of positive cycles"
     if not contra:
-        return
+        return None
     ncyc = len(cycles)
     connected = is_connected(g)
     bridges = structure.block_decomposition(g).bridges
     if connected and g.n >= 2:
         sign_connected = is_sign_connected(g)
         if sign_connected != (ncyc >= 1):
-            fail(f"contrabalanced: sign connected={sign_connected}, cycles={ncyc}")
-            return
+            return f"contrabalanced: sign connected={sign_connected}, cycles={ncyc}"
         if ncyc == 1 and sign_isthmi(g) != frozenset(range(g.m)):
-            fail("one cycle but not every edge is a sign isthmus")
-            return
+            return "one cycle but not every edge is a sign isthmus"
         if ncyc >= 2 and sign_isthmi(g) != bridges:
-            fail("several cycles but sign isthmi differ from isthmi")
-            return
+            return "several cycles but sign isthmi differ from isthmi"
     if connected and g.m >= 2:
         pendant = any(len(g.adjacency[v]) == 1 and g.adjacency[v][0][1] != v for v in range(g.n))
         cond = ncyc >= 2 and not pendant
@@ -427,11 +405,9 @@ def _check_suite_6(g: SignedGraph, fail):
         fi = matroid.frame_isthmi(g)
         fempty = not fi
         if not (fconn == fempty == cond):
-            fail(f"frame connection triple ({fconn},{fempty},{cond}) not equal")
-            return
+            return f"frame connection triple ({fconn},{fempty},{cond}) not equal"
         if ncyc < 2 and fi != frozenset(range(g.m)):
-            fail("fewer than two cycles but not every edge is a frame isthmus")
-            return
+            return "fewer than two cycles but not every edge is a frame isthmus"
     no_isolated = all(g.adjacency[v] for v in range(g.n))
     if g.m >= 2 and no_isolated:
         cond = ncyc >= 2 and not bridges
@@ -439,10 +415,9 @@ def _check_suite_6(g: SignedGraph, fail):
         li = matroid.lift_isthmi(g)
         lempty = not li
         if not (lconn == lempty == cond):
-            fail(f"lift connection triple ({lconn},{lempty},{cond}) not equal")
-            return
+            return f"lift connection triple ({lconn},{lempty},{cond}) not equal"
         if ncyc < 2 and li != frozenset(range(g.m)):
-            fail("fewer than two cycles but not every edge is a lift isthmus")
+            return "fewer than two cycles but not every edge is a lift isthmus"
 
 
 def _theta_defect(g: SignedGraph, theta: structure.Theta) -> Optional[str]:
@@ -486,51 +461,40 @@ def _theta_positive_count(g: SignedGraph, theta: structure.Theta) -> int:
     )
 
 
-def _check_suite_7(g: SignedGraph, fail):
+def _check_suite_7(g: SignedGraph) -> Optional[str]:
     got = is_parity_connected(g)
-    if g.n == 1:
-        expected = True
-    else:
-        expected = is_connected(g) and not oracle.brute_is_bipartite(g)
+    expected = g.n == 1 or (is_connected(g) and not oracle.brute_is_bipartite(g))
     if got != expected:
-        fail(f"is_parity_connected={got}, expected {expected}")
+        return f"is_parity_connected={got}, expected {expected}"
 
 
-def _check_suite_8(g: SignedGraph, fail):
+def _check_suite_8(g: SignedGraph) -> Optional[str]:
     if set(positive_components(g).classes) != set(oracle.brute_positive_components(g)):
-        fail("positive components differ from positive reachability classes")
-        return
+        return "positive components differ from positive reachability classes"
     if set(negative_components(g).classes) != set(oracle.brute_negative_components(g)):
-        fail("negative components differ from closed negative reachability classes")
+        return "negative components differ from closed negative reachability classes"
 
 
-def _check_suite_9(g: SignedGraph, fail):
+def _check_suite_9(g: SignedGraph) -> Optional[str]:
     qb = matroid.is_quasibalanced(g)
     if qb != oracle.brute_is_quasibalanced(g):
-        fail(f"is_quasibalanced={qb} disagrees with pairwise intersection test")
-        return
+        return f"is_quasibalanced={qb} disagrees with pairwise intersection test"
     unbal_blocks = sum(1 for row in structure.block_decomposition(g).rows if not row[2])
     if unbal_blocks >= 2 and qb:
-        fail("two unbalanced blocks but reported quasibalanced")
-        return
+        return "two unbalanced blocks but reported quasibalanced"
     if unbal_blocks == 0 and not qb:
-        fail("no unbalanced block but reported not quasibalanced")
-        return
+        return "no unbalanced block but reported not quasibalanced"
     if is_connected(g) and qb:
         coloops = matroid.frame_isthmi(g) & matroid.lift_isthmi(g)
         for e in g.edges:
             if e.u == e.v and e.sign == -1:
                 if e.id not in coloops:
-                    fail(f"negative loop {e.id} not a frame+lift coloop")
-                    return
+                    return f"negative loop {e.id} not a frame+lift coloop"
     # a sign-connected graph with an edge splitting it into two sign-connected
     # pieces that are unbalanced (size > 1 or negative loop) is not
     # quasibalanced; deletion must actually disconnect, otherwise the single
     # remaining piece may hold the only negative cycle
-    sign_connected = is_sign_connected(g)
-    if sign_connected and not qb:
-        return
-    if sign_connected:
+    if is_sign_connected(g) and qb:
         for eid in range(g.m):
             without = _without(g, eid)
             comps, _ = component_balance(without)
@@ -542,12 +506,11 @@ def _check_suite_9(g: SignedGraph, fail):
                 and (p.n > 1 or any(e.u == e.v and e.sign == -1 for e in p.edges))
                 for p in pieces
             ):
-                fail(f"edge {eid} splits into unbalanced sign-connected pieces "
-                     "yet graph is quasibalanced")
-                return
+                return (f"edge {eid} splits into unbalanced sign-connected pieces "
+                        "yet graph is quasibalanced")
 
 
-_CHECKS = {
+_CHECKS: dict[int, Callable[[SignedGraph], Optional[str]]] = {
     1: _check_suite_1,
     2: _check_suite_2,
     3: _check_suite_3,
@@ -575,12 +538,12 @@ def _chosen(suites: Optional[Iterable[int]]) -> list[int]:
 
 
 def check_graph(g: SignedGraph, suites: Optional[Iterable[int]] = None) -> list[Violation]:
-    """All suite violations on one graph (at most one per suite)."""
+    """The suite violations on one graph, in suite order: one per suite that
+    fails, with the message of its first failed check."""
     out: list[Violation] = []
     for suite in _chosen(suites):
-        msgs: list[str] = []
-        _CHECKS[suite](g, msgs.append)
-        for msg in msgs:
+        msg = _CHECKS[suite](g)
+        if msg is not None:
             out.append(Violation(suite, msg, g))
     return out
 
@@ -672,7 +635,8 @@ def run_sweep(
     suites: Optional[Iterable[int]] = None,
     progress: Optional[Callable[[int], None]] = None,
 ) -> SweepResult:
-    """Check every signed graph up to the size bounds.
+    """Check every signed graph up to the size bounds, which must be
+    max_n >= 1 and max_m >= 0.
 
     A seed shuffles the (otherwise deterministic) graph order, which only
     affects which counterexample is reported first.
@@ -698,7 +662,10 @@ def run_sweep(
     import multiprocessing
     from array import array
 
-    suites = _chosen(suites)  # a bad selection fails here, before any worker starts
+    # a bad selection or bound fails here, before any worker starts
+    suites = _chosen(suites)
+    if max_n < 1 or max_m < 0:
+        raise ValueError(f"max_n must be >= 1 and max_m >= 0, not {max_n} and {max_m}")
     graphs = oracle.SignedGraphOrder(max_n, max_m)
     order = range(len(graphs))
     if seed is not None:

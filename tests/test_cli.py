@@ -140,7 +140,7 @@ class TestCommands:
         assert report["workers"] == (2 if "fork" in multiprocessing.get_all_start_methods() else 1)
 
     def test_check_json_counts_failures(self, capsys, monkeypatch):
-        monkeypatch.setattr(sweep, "_CHECKS", {**sweep._CHECKS, 7: lambda g, fail: fail("x")})
+        monkeypatch.setattr(sweep, "_CHECKS", {**sweep._CHECKS, 7: lambda g: "x"})
         code, out = run(capsys, "check", "--max-n", "1", "--max-m", "1", "--json")
         assert code == 2
         assert json.loads(out)["failure_counts"]["7"] == 3
@@ -182,6 +182,28 @@ class TestExitCodes:
 
     def test_bad_edge_id(self, fixture_dir, capsys):
         assert main(["rank", "--kind", "frame", "--edges", "9", str(fixture_dir / "P2.sg")]) == 1
+
+    @pytest.mark.parametrize("token", ["1_0", "+3", " 3", "\u0663"])
+    def test_an_id_is_ascii_decimal_digits(self, tmp_path, capsys, token):
+        # a 12-cycle with one negative edge: every id below 12 names an edge
+        # and a vertex, and every two vertices have witness chains
+        path = tmp_path / "c12.sg"
+        path.write_text(emit(SignedGraph.from_triples(
+            12, [(v, (v + 1) % 12, -1 if v == 0 else 1) for v in range(12)]
+        )))
+        for argv, what in (
+            (["rank", "--kind", "frame", "--edges", token, str(path)], "edge id"),
+            (["circuit", "--edges", f"0,{token}", str(path)], "edge id"),
+            (["witness", str(path), "0", token], "vertex"),
+        ):
+            assert main(argv) == 1, argv
+            out, err = capsys.readouterr()
+            assert (out, err) == ("", f"error: bad {what} {token!r}: expected ASCII decimal digits\n")
+
+    def test_check_refuses_a_size_bound_with_no_graphs(self, capsys):
+        assert main(["check", "--max-n", "0"]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: max_n must be >= 1 and max_m >= 0, not 0 and 5\n")
 
 
 # a negative hexagon with chords 1-3 and 3-5: a necklace of four beads

@@ -1,14 +1,15 @@
 """The sweep's block-parallel `run_sweep` gives what one process checking
 every graph in order gives: the same counts, the same first counterexamples,
-the same progress reports, and a bad suite selection is refused up front.
-A worker that dies stops the sweep with an error naming its exit code, and
-no worker outlives the call; the parent runs no other thread and holds no
-graphs.  Suite 4's local submodularity check agrees with the all-pairs definition,
-its per-size tables with the loops they replace, its rank tables with the
-oracle's rank, and one wrong answer of the library gives a suite-4
-violation; so does one in suites 2, 3, 5, 8 and 9, also on a deletion that
-another suite built first; suite 6 checks each theta by definition, and
-suite 2's five characterizations of a balancing edge agree."""
+the same progress reports, and a bad suite selection or size bound is refused
+up front.  A worker that dies stops the sweep with an error naming its exit
+code, and no worker outlives the call; the parent runs no other thread and
+holds no graphs.  Each suite reports at most one violation per graph, its
+first.  Suite 4's local submodularity check agrees with the all-pairs
+definition, its mask lists, rank table and axiom loops with reference loops,
+its rank tables with the oracle's rank, and one wrong answer of the library
+gives a suite-4 violation; so does one in suites 2, 3, 5, 8 and 9, also on a
+deletion that another suite built first; suite 6 checks each theta by
+definition, and suite 2's five characterizations of a balancing edge agree."""
 
 import multiprocessing
 import os
@@ -38,17 +39,18 @@ from conftest import fresh_copy, graphs
 FORK = "fork" in multiprocessing.get_all_start_methods()
 
 
-def _cheap_suite_1(g, fail):
+def _cheap_suite_1(g):
     # fails on a few hundred graphs, spread over the whole order
     if sum((e.id + 1) * (3 * e.u + 5 * e.v + (e.sign < 0)) for e in g.edges) % 29 == 7:
-        fail(f"suite 1 on n={g.n} edges={[(e.u, e.v, e.sign) for e in g.edges]}")
+        return f"suite 1 on n={g.n} edges={[(e.u, e.v, e.sign) for e in g.edges]}"
+    return None
 
 
-def _cheap_suite_2(g, fail):
+def _cheap_suite_2(g):
     negative = sum(e.sign < 0 for e in g.edges)
     if g.n == 4 and negative == 2 and any(e.u == e.v for e in g.edges):
-        fail(f"suite 2 on {g.edges}")
-        fail("suite 2 again")
+        return f"suite 2 on {g.edges}"
+    return None
 
 
 @pytest.fixture
@@ -100,7 +102,7 @@ def test_merge_equals_one_process_in_order(cheap_checks, monkeypatch, seed, cpus
 
 
 def test_a_worker_error_comes_out_of_run_sweep(monkeypatch):
-    def raising(g, fail):
+    def raising(g):
         if g.n == 4 and g.m == 4 and all(e.sign < 0 for e in g.edges):
             raise PreconditionError("raised in a worker")
 
@@ -128,7 +130,7 @@ def test_a_daemonic_process_checks_in_process(monkeypatch):
     assert workers == 1
 
 
-def _exits_on_one_graph(g, fail):
+def _exits_on_one_graph(g):
     if g.n == 4 and g.m == 4 and all(e.sign < 0 for e in g.edges):
         os._exit(3)
 
@@ -167,7 +169,7 @@ def test_the_parent_runs_no_other_thread_during_a_sweep(cheap_checks, monkeypatc
 def test_the_parent_of_a_seeded_sweep_holds_no_graphs(monkeypatch):
     # the graphs of (4, 5) would take several MB as tuples, and about
     # 1 MB even packed one byte per value
-    monkeypatch.setattr(sweep, "_CHECKS", {1: lambda g, fail: None})
+    monkeypatch.setattr(sweep, "_CHECKS", {1: lambda g: None})
     monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
     sweep.run_sweep(2, 1, seed=9)  # loads the modules a sweep imports on first use
     tracemalloc.start()
@@ -216,8 +218,8 @@ def _set_functions(rng, m):
 
 def _first_local_violation(tab, m):
     """The local submodularity check by masks alone: the reference that
-    `sweep._submodularity_violation`, run over the per-size table of
-    quadruples, must match."""
+    `sweep._submodularity_violation`, which reads each mask's missing
+    elements off `sweep._members`, must match."""
     for mask in range(1 << m):
         rest = [e for e in range(m) if not mask >> e & 1]
         for i, e in enumerate(rest):
@@ -272,7 +274,7 @@ def _rank_table_by_closure(m, circuit_masks):
     return table
 
 
-def test_suite_4_tables_agree_with_the_loops_they_replace():
+def test_suite_4_members_rank_table_and_axiom_loops_agree_with_reference_loops():
     rng = random.Random(46)
     found = {"unit": 0, "submodular": 0}
     for m in range(8):
@@ -513,6 +515,28 @@ def test_each_suite_catches_one_wrong_answer(monkeypatch, suite, module, name, f
     assert [(v.suite, v.message) for v in found] == [(suite, message)]
 
 
+def _break_suite_1(monkeypatch):
+    """Both of suite 1's library answers wrong: the criterion negated and
+    every sign component a single vertex."""
+    real = sweep.is_sign_connected
+    monkeypatch.setattr(sweep, "is_sign_connected", lambda g: not real(g))
+    monkeypatch.setattr(sweep, "sign_components", _singletons(sweep.sign_components))
+
+
+def test_a_suite_reports_only_its_first_failed_check(monkeypatch):
+    _break_suite_1(monkeypatch)
+    found = sweep.check_graph(fixture("T-"), [1])
+    assert [(v.suite, v.message) for v in found] == [(1, "is_sign_connected=False, expected True")]
+
+
+def test_a_suite_counts_each_failing_graph_once(monkeypatch):
+    # the negated criterion fails on every graph, the singletons on a few too
+    _break_suite_1(monkeypatch)
+    result = sweep.run_sweep(2, 2, suites=[1])
+    assert result.graphs_checked == 38
+    assert result.failure_counts == {1: 38}
+
+
 def test_suite_9_catches_a_wrong_answer_on_a_deletion_suite_2_built(monkeypatch):
     # a negative digon 0-1, then the path 1-2-3: deleting edge 2 leaves the
     # digon and the balanced piece 2-3, which is no sign-connected piece
@@ -589,10 +613,21 @@ def test_a_bad_suite_selection_is_refused_before_any_worker_starts(monkeypatch, 
         sweep.check_graph(fixture("T-"), suites)
 
 
+@pytest.mark.parametrize("max_n, max_m", [(0, 2), (-1, 2), (2, -1)])
+def test_a_bad_size_bound_is_refused_before_any_worker_starts(monkeypatch, max_n, max_m):
+    def no_pool(*args):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    with pytest.raises(ValueError, match=f"max_n must be >= 1 and max_m >= 0, not {max_n} and"):
+        sweep.run_sweep(max_n, max_m)
+
+
 def test_a_suite_selection_runs_those_suites_in_order(monkeypatch):
     ran = []
     monkeypatch.setattr(
-        sweep, "_CHECKS", {k: lambda g, fail, k=k: ran.append(k) for k in sweep.SUITES}
+        sweep, "_CHECKS", {k: lambda g, k=k: ran.append(k) for k in sweep.SUITES}
     )
     sweep.check_graph(fixture("T-"), (8, 3, 8))
     sweep.check_graph(fixture("T-"))

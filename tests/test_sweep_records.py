@@ -69,7 +69,7 @@ def test_the_parent_of_a_forked_sweep_builds_no_graph(monkeypatch, tmp_path):
     checked = []
     monkeypatch.setattr(SignedGraph, "_of_columns", classmethod(logged))
     monkeypatch.setattr(oracle, "generate_signed_graphs", _never)
-    monkeypatch.setattr(sweep, "_CHECKS", {1: lambda g, fail: checked.append(g)})
+    monkeypatch.setattr(sweep, "_CHECKS", {1: lambda g: checked.append(g)})
     monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
     try:
         result = sweep.run_sweep(4, 4, seed=5)
