@@ -6,65 +6,62 @@ enumeration; keep the two independent.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .core import SignedGraph, Sign
-from .errors import CycleBudgetExceeded
 
 
-def iter_cycles(
-    g: SignedGraph,
-    edge_ids: Optional[Iterable[int]] = None,
-    max_cycles: Optional[int] = None,
-) -> Iterator[tuple[frozenset[int], Sign]]:
-    """Yield every elementary cycle (as an edge id set with its sign) once,
-    as it is found; raise CycleBudgetExceeded on finding a cycle beyond the
-    first max_cycles.
+def iter_cycles(g: SignedGraph, edge_ids: Iterable[int]) -> Iterator[tuple[frozenset[int], Sign]]:
+    """Yield each elementary cycle of the given edges once, as an edge id set
+    with its sign: the loops by vertex, then the longer cycles by their
+    smallest vertex, the root.
 
-    Includes loops and digons from parallel edges.  Each cycle is anchored at
-    its smallest vertex, so every cycle is produced exactly once up to
-    direction; directions are deduplicated.
+    From each root a backtracking search grows simple paths over larger
+    vertices, with an on-path flag per vertex, an edge stack and a frame of
+    untried extensions per path vertex: a step is O(1) and copies nothing.
+    At each new vertex it first closes the path by every edge to the root,
+    then tries the vertex's extensions, the last listed first.
+
+    A cycle leaves the root by two edges, a listed before b, and is met once
+    per direction, in the subtree of its first edge.  The root's subtrees are
+    searched one after another, last listed first, so the direction leaving
+    by b comes first: a path closes only by a root edge not yet tried as a
+    first edge.  The listing order is that of `set(edge_ids)`.
     """
-    allowed = set(range(g.m)) if edge_ids is None else set(edge_ids)
-    adj: list[list] = [[] for _ in range(g.n)]  # (edge id, other end, sign)
-    loops: list[list] = [[] for _ in range(g.n)]  # (edge id, sign)
-    for eid in allowed:
+    adj: list[list[tuple[int, int, Sign]]] = [[] for _ in range(g.n)]
+    loops = []
+    for eid in set(edge_ids):
         u, v, sign = g._u[eid], g._v[eid], g._sign[eid]
         if u == v:
-            loops[u].append((eid, sign))
+            loops.append((u, eid, sign))
         else:
             adj[u].append((eid, v, sign))
             adj[v].append((eid, u, sign))
+    for _, eid, sign in sorted(loops, key=lambda loop: loop[0]):
+        yield frozenset([eid]), sign
 
-    found: set[frozenset[int]] = set()
-
-    def fresh(edge_set: frozenset[int]) -> bool:
-        if edge_set in found:
-            return False
-        found.add(edge_set)
-        if max_cycles is not None and len(found) > max_cycles:
-            raise CycleBudgetExceeded(f"more than {max_cycles} cycles")
-        return True
-
-    for v in range(g.n):
-        for eid, sign in loops[v]:
-            if fresh(frozenset([eid])):
-                yield frozenset([eid]), sign
-
-    # DFS on paths whose vertices all exceed the anchor except the anchor
-    # itself; closing back to the anchor yields a cycle.
+    on_path = [False] * g.n
     for root in range(g.n):
-        stack = [(root, frozenset([root]), (), 1)]
-        while stack:
-            at, used_v, used_e, sign = stack.pop()
-            for eid, w, s in adj[at]:
-                if eid in used_e:
-                    continue
-                if w == root:
-                    if len(used_e) >= 1:  # length >= 2: digon or longer
-                        cycle = frozenset(used_e) | {eid}
-                        if fresh(cycle):
-                            yield cycle, sign * s
-                elif w > root and w not in used_v:
-                    stack.append((w, used_v | {w}, used_e + (eid,), sign * s))
-
+        closers = {eid for eid, _, _ in adj[root]}  # not yet tried as a first edge
+        path: list[int] = []
+        frames = [(root, 1, reversed(adj[root]))]  # (vertex, path sign, untried)
+        while frames:
+            at, sign, untried = frames[-1]
+            for eid, w, s in untried:
+                if at == root:
+                    closers.discard(eid)
+                if w > root and not on_path[w]:
+                    break
+            else:  # every extension of `at` tried: back up
+                frames.pop()
+                on_path[at] = False
+                if path:
+                    path.pop()
+                continue
+            path.append(eid)
+            on_path[w] = True
+            sign *= s
+            for e, x, t in adj[w]:
+                if x == root and e in closers:
+                    yield frozenset(path) | {e}, sign * t
+            frames.append((w, sign, reversed(adj[w])))

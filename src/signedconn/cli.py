@@ -38,7 +38,7 @@ def _load(path: str) -> SignedGraph:
 
 
 def _decimal(token: str, what: str) -> int:
-    """A vertex or edge id from the command line: ASCII decimal digits only,
+    """An id, size bound or seed from the command line: ASCII decimal digits,
     as in a graph file, so that `1_0`, `+3`, ` 3` or a non-ASCII digit is
     refused rather than read as another number."""
     if not (token.isascii() and token.isdigit()):
@@ -174,8 +174,10 @@ def _cmd_witness(args) -> int:
 def _cmd_check(args) -> int:
     from . import sweep  # here: the sweep and the oracle serve this command alone
 
+    max_n, max_m = _decimal(args.max_n, "--max-n"), _decimal(args.max_m, "--max-m")
+    seed = None if args.seed is None else _decimal(args.seed, "--seed")
     start = time.perf_counter()
-    result = sweep.run_sweep(args.max_n, args.max_m, seed=args.seed)
+    result = sweep.run_sweep(max_n, max_m, seed=seed)
     seconds = time.perf_counter() - start
     if args.json:
         counts = {str(k): result.failure_counts.get(k, 0) for k in sorted(sweep.SUITES)}
@@ -253,9 +255,10 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_witness)
 
     p = sub.add_parser("check", help="exhaustive property sweep over small graphs")
-    p.add_argument("--max-n", type=int, default=4)
-    p.add_argument("--max-m", type=int, default=5)
-    p.add_argument("--seed", type=int, default=None)
+    # read by `_decimal`, not argparse's int(), which takes `1_0` and ` +3`
+    p.add_argument("--max-n", default="4")
+    p.add_argument("--max-m", default="5")
+    p.add_argument("--seed")
     p.add_argument("--json", action="store_true", help="print one JSON object of counts and timings")
     p.set_defaults(fn=_cmd_check)
 

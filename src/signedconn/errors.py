@@ -30,7 +30,9 @@ class NotABlock(SignedGraphError):
 
 
 class CycleBudgetExceeded(SignedGraphError):
-    """A cycle enumeration passed its cap, `matroid.DEFAULT_CYCLE_BUDGET`."""
+    """A quasibalance search read more cycles than its cap: raised by
+    `matroid.is_quasibalanced`, which counts the cycles it streams, on the
+    first past `matroid.DEFAULT_CYCLE_BUDGET`."""
 
 
 class GraphSyntaxError(SignedGraphError):

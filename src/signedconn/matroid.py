@@ -7,8 +7,9 @@ from enum import Enum
 from typing import Iterable, NamedTuple
 
 from . import _cycles, structure
+from .balance import balancing_vertices
 from .core import SignedGraph, _kept, _vertex_set
-from .errors import EdgeOutOfRange
+from .errors import CycleBudgetExceeded, EdgeOutOfRange
 from .sign_connectivity import ComponentPartition, _sorted_classes
 
 DEFAULT_CYCLE_BUDGET = 100_000
@@ -280,30 +281,40 @@ def is_quasibalanced(g: SignedGraph) -> bool:
     """True iff every two negative cycles share at least two vertices.
 
     Two unbalanced blocks give disjoint or once-meeting negative cycles, so the
-    answer is immediate unless exactly one block is unbalanced.  That block is
-    the core of the one unbalanced component.  A necklace is quasibalanced:
-    every negative cycle passes through all of its two or more balancing
-    vertices.  Otherwise each negative cycle is tested for a partner meeting
-    it in at most one vertex, and the first partner answers False: first the
+    answer is immediate unless exactly one block B is unbalanced.  B is the
+    core of the one unbalanced component, and two rules answer without a
+    search.  First, a one-edge B is a negative loop, the one negative cycle.
+    Second, a B with a balancing vertex is quasibalanced iff it is a necklace.
+    With two or more balancing vertices it is one, and every negative cycle
+    passes through all of them.  With one, v, switch the connected, balanced
+    B - v to all positive; v's positive and negative edges then reach two
+    nonempty sets P and N, and a negative cycle is v and a P-N path of B - v.
+    A vertex meeting every P-N path would meet every negative cycle and be
+    a second balancing vertex, so by Menger's theorem two vertex-disjoint
+    P-N paths exist: two negative cycles meeting only at v.
+
+    Otherwise each negative cycle is tested for a partner meeting it in at
+    most one vertex, and the first partner answers False: first the
     fundamental cycles of the frustrated edges, which are negative and all lie
-    in the block, then every cycle of the block as it is streamed.  Only a
-    search that finds none within DEFAULT_CYCLE_BUDGET cycles raises
-    CycleBudgetExceeded.
+    in B, then every cycle of B as it is streamed.  Only a search that finds
+    none within DEFAULT_CYCLE_BUDGET cycles raises CycleBudgetExceeded.
     """
     dec = structure.block_decomposition(g)
     unbalanced = [es for es, _, balanced, _, _ in dec.rows if not balanced]
     if len(unbalanced) >= 2:
         return False
-    if not unbalanced:
+    if not unbalanced or len(unbalanced[0]) == 1:
         return True
-    if dec.cores[0].necklace is not None:
-        return True
+    if balancing_vertices(g):
+        return dec.cores[0].necklace is not None
     block = frozenset(unbalanced[0])
     sp = g.spine
     for eid, d, a in sp.frustrated:
         if _has_partner(g, block, sp.fundamental_cycle(eid, d, a)):
             return False
-    for cycle, sign in _cycles.iter_cycles(g, block, DEFAULT_CYCLE_BUDGET):
+    for count, (cycle, sign) in enumerate(_cycles.iter_cycles(g, block), 1):
+        if count > DEFAULT_CYCLE_BUDGET:
+            raise CycleBudgetExceeded(f"more than {DEFAULT_CYCLE_BUDGET} cycles")
         if sign == -1 and _has_partner(g, block, cycle):
             return False
     return True

@@ -200,6 +200,15 @@ class TestExitCodes:
             out, err = capsys.readouterr()
             assert (out, err) == ("", f"error: bad {what} {token!r}: expected ASCII decimal digits\n")
 
+    @pytest.mark.parametrize("token", ["1_0", " +3", "\u0663"])
+    @pytest.mark.parametrize("option", ["--max-n", "--max-m", "--seed"])
+    def test_a_check_bound_or_seed_is_ascii_decimal_digits(self, capsys, option, token):
+        # the bad token comes last and wins; were it read as 10 or 3, the
+        # small bounds before it would keep the sweep short
+        assert main(["check", "--max-n", "2", "--max-m", "2", option, token]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: bad {option} {token!r}: expected ASCII decimal digits\n")
+
     def test_check_refuses_a_size_bound_with_no_graphs(self, capsys):
         assert main(["check", "--max-n", "0"]) == 1
         out, err = capsys.readouterr()

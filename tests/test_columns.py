@@ -597,6 +597,26 @@ def test_the_hot_loops_match_their_references_on_seeded_multigraphs():
         _check_against_references(g, subsets)
 
 
+def test_the_cycle_search_matches_its_reference_in_full():
+    # whole sequences on multigraphs with loops and parallel edges: m of the
+    # graph's edges, with up to 300 more, so that a subset's set order is
+    # often not its id order, and that order decides which direction is first
+    rng = random.Random(31)
+    cycles = wrapped = 0
+    for _ in range(2000):
+        n, m = rng.randint(1, 9), rng.randint(0, 16)
+        size = m + rng.choice((0, 40, 300))
+        g = SignedGraph.from_triples(
+            n, [(rng.randrange(n), rng.randrange(n), rng.choice((1, -1))) for _ in range(size)]
+        )
+        subset = rng.sample(range(size), m)
+        got = list(_cycles.iter_cycles(g, subset))
+        assert got == list(_iter_cycles_ref(g, subset)), (g, subset)
+        cycles += len(got)
+        wrapped += list(set(subset)) != sorted(subset)
+    assert cycles >= 25_000 and wrapped >= 1000, (cycles, wrapped)
+
+
 def _parse_outcome(fn, text):
     try:
         return fn(text)

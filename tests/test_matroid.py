@@ -12,6 +12,7 @@ from signedconn import (
     CycleBudgetExceeded,
     EdgeOutOfRange,
     SignedGraph,
+    balancing_vertices,
     classify_circuit,
     component_balance,
     frame_components,
@@ -424,6 +425,51 @@ class TestQuasibalance:
         monkeypatch.setattr(_cycles, "iter_cycles", no_enumeration)
         assert is_quasibalanced(fixture("UK4")) is True
 
+    def test_a_negative_loop_block_is_quasibalanced_without_enumeration(self, monkeypatch):
+        # a positive triangle with a negative loop at 0: vertex 0 balances the
+        # graph, but a one-edge block is no necklace, so the loop rule has to
+        # answer before the balancing-vertex rule
+        monkeypatch.setattr(_cycles, "iter_cycles", no_enumeration)
+        g = SignedGraph.from_triples(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1), (0, 0, -1)])
+        assert balancing_vertices(g) == {0}
+        assert block_decomposition(g).cores[0].necklace is None
+        assert is_quasibalanced(g) is True
+
+    def test_a_lone_balancing_vertex_answers_without_enumeration(self, monkeypatch):
+        # vertex 0 alone balances this block: the negative triangles 0-3-2
+        # and 0-1-4 meet only there.  Neither fundamental cycle of a
+        # frustrated edge has a partner, so without the rule it takes a search
+        monkeypatch.setattr(_cycles, "iter_cycles", no_enumeration)
+        g = SignedGraph.from_triples(5, [
+            (4, 0, -1), (1, 0, 1), (3, 0, 1), (0, 2, 1), (3, 2, -1), (3, 1, 1), (3, 4, 1), (4, 1, 1)
+        ])
+        block = frozenset(range(g.m))
+        assert balancing_vertices(g) == {0}
+        assert not any(
+            matroid._has_partner(g, block, g.spine.fundamental_cycle(*f)) for f in g.spine.frustrated
+        )
+        assert is_quasibalanced(g) is False
+
+    def test_the_two_rules_match_the_oracle(self, monkeypatch):
+        # every lone unbalanced block that is a negative loop or has a
+        # balancing vertex is answered by the rules, as the oracle answers
+        monkeypatch.setattr(_cycles, "iter_cycles", no_enumeration)
+        rules = Counter()
+        for g in _seeded_multigraphs(6000, 8, 7):
+            unbalanced = [es for es, _, balanced, _, _ in block_decomposition(g).rows if not balanced]
+            if len(unbalanced) != 1:
+                continue
+            if len(unbalanced[0]) == 1:
+                rules["loop"] += 1
+            elif len(balancing_vertices(g)) == 1:
+                rules["one balancing vertex"] += 1
+            elif balancing_vertices(g):
+                rules["two or more"] += 1
+            else:
+                continue
+            assert is_quasibalanced(g) == oracle.brute_is_quasibalanced(g), g
+        assert len(rules) == 3 and min(rules.values()) >= 200, rules
+
     @pytest.mark.parametrize("n", [5, 10, 12, 40])
     def test_a_frustrated_fundamental_cycle_finds_the_partner(self, n, monkeypatch):
         # the triangles 014 and 234 meet in one vertex; no cycle is streamed
@@ -459,6 +505,34 @@ class TestQuasibalance:
                 answers[want] += 1
             assert is_quasibalanced(g) == oracle.brute_is_quasibalanced(g), g
         assert min(answers.values()) >= 1000, answers
+
+    @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs an interval timer")
+    def test_a_long_subdivided_k4_lists_its_seven_cycles_quickly(self):
+        # a 1,500-cycle with the chords (0, n/2) and (n/4, 3n/4), one edge
+        # negative: a search that copied its path at every step took 7.6 s
+        # at n = 1,000 on a 2-vCPU machine, growing as n^3; with O(1) steps
+        # n = 1,500 takes about a second there
+        n = 1500
+        rim = [(i, (i + 1) % n, -1 if i == 0 else 1) for i in range(n)]
+        g = SignedGraph.from_triples(n, rim + [(0, n // 2, 1), (n // 4, 3 * n // 4, 1)])
+
+        def too_slow(signum, frame):
+            raise TimeoutError("the cycles of the subdivided K4 took over 5 s")
+
+        before = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 5)
+        try:
+            cycles = list(_cycles.iter_cycles(g, range(g.m)))
+        except TimeoutError as exc:
+            # raised inside the generator, whose frame pytest cannot always
+            # show: report the message alone
+            pytest.fail(str(exc), pytrace=False)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, before)
+        # K4 has 7 cycles, 4 of them through its subdivided edge 0-(n/4)
+        assert len({cycle for cycle, _ in cycles}) == len(cycles) == 7
+        assert sorted(sign for _, sign in cycles) == [-1] * 4 + [1] * 3
 
     @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs an interval timer")
     def test_the_partner_test_takes_one_pass(self):
