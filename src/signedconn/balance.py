@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .core import SignedGraph, _kept, connected_components
+from .structure import block_decomposition
 
 
 def component_balance(g: SignedGraph) -> tuple[list[frozenset[int]], list[bool]]:
@@ -88,56 +89,11 @@ def _balancing_edges(g: SignedGraph) -> frozenset[int]:
 
 def balancing_vertices(g: SignedGraph) -> frozenset[int]:
     """Vertices of unbalanced components whose deletion (with incident edges)
-    leaves that component balanced.  Computed once per graph object and kept
-    on it."""
-    return _kept(g, "_balancing_vertices", _balancing_vertices)
-
-
-def _balancing_vertices(g: SignedGraph) -> frozenset[int]:
-    """The balancing vertices, in one pass over the spine.
-
-    Such a vertex lies on every negative cycle, in particular on the
-    fundamental cycle of every frustrated edge (the tree path from its
-    descendant end up to its ancestor end).  Those candidates are counted by
-    subtree sums of +1 at descendant ends and -1 above ancestor ends.  A
-    candidate x leaves no frustrated edge inside a child subtree or above x,
-    so deleting x frees each child subtree to be switched as a whole: x is
-    balancing iff, per child c, the non-tree edges from the subtree of c to
-    proper ancestors of x are all frustrated or all unfrustrated.  Those
-    edges are counted by subtree sums of +1 at the descendant end and -1 at
-    the ancestor end's child toward it, read off the root path in preorder.
-    """
-    sp = g.spine
-    k = sp.comp_frustrated
-    n = g.n
-    on_path = [0] * n
-    for _, d, a in sp.frustrated:
-        on_path[d] += 1
-        if sp.parent[a] >= 0:
-            on_path[sp.parent[a]] -= 1
-    on_path = sp.subtree_sums(on_path)
-    candidates = [x for x in range(n) if k[sp.comp[x]] and on_path[x] == k[sp.comp[x]]]
-    if not candidates:
-        return frozenset()
-    up: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
-    for eid, d, a in sp.nontree:
-        if d != a:  # a loop passes above nothing
-            up[d].append((a, sp.pot[d] * sp.pot[a] != g._sign[eid]))
-    depth = sp.depth
-    path = [0] * n  # path[i]: the ancestor at depth i of the vertex in hand
-    above = [0] * n
-    f_above = [0] * n
-    for v in sp.order:
-        path[depth[v]] = v
-        for a, frustrated in up[v]:
-            toward = path[depth[a] + 1]
-            above[v] += 1
-            above[toward] -= 1
-            if frustrated:
-                f_above[v] += 1
-                f_above[toward] -= 1
-    above = sp.subtree_sums(above)
-    f_above = sp.subtree_sums(f_above)
-    mixed = {sp.parent[c] for c in range(n) if 0 < f_above[c] < above[c]}
-    return frozenset(candidates).difference(mixed)
-
+    leaves that component balanced: as every cycle lies in one block, those
+    that the block pass finds for every unbalanced block of the component."""
+    dec = block_decomposition(g)
+    by_comp: dict[int, frozenset[int]] = {}
+    for (_, _, balanced, _, comp), S in zip(dec.rows, dec.balancing):
+        if not balanced:
+            by_comp[comp] = by_comp.get(comp, S) & S
+    return frozenset().union(*by_comp.values())

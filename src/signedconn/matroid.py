@@ -7,7 +7,6 @@ from enum import Enum
 from typing import Iterable, NamedTuple
 
 from . import _cycles, structure
-from .balance import balancing_vertices
 from .core import SignedGraph, _kept, _vertex_set
 from .errors import CycleBudgetExceeded, EdgeOutOfRange
 from .sign_connectivity import ComponentPartition, _sorted_classes
@@ -300,14 +299,14 @@ def is_quasibalanced(g: SignedGraph) -> bool:
     none within DEFAULT_CYCLE_BUDGET cycles raises CycleBudgetExceeded.
     """
     dec = structure.block_decomposition(g)
-    unbalanced = [es for es, _, balanced, _, _ in dec.rows if not balanced]
+    unbalanced = [i for i, (_, _, balanced, _, _) in enumerate(dec.rows) if not balanced]
     if len(unbalanced) >= 2:
         return False
-    if not unbalanced or len(unbalanced[0]) == 1:
+    if not unbalanced or len(dec.rows[unbalanced[0]][0]) == 1:
         return True
-    if balancing_vertices(g):
+    if dec.balancing[unbalanced[0]]:
         return dec.cores[0].necklace is not None
-    block = frozenset(unbalanced[0])
+    block = frozenset(dec.rows[unbalanced[0]][0])
     sp = g.spine
     for eid, d, a in sp.frustrated:
         if _has_partner(g, block, sp.fundamental_cycle(eid, d, a)):

@@ -9,7 +9,6 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
-from .balance import balancing_vertices
 from .core import SignedGraph, Walk, _kept, _Spine
 from .errors import NotABlock
 
@@ -42,13 +41,15 @@ class BlockDecomposition:
     """The blocks as plain rows (edge list, vertex list, balanced, inner,
     component), in the order the pass finds them; `blocks` makes them
     `Block`s.  The rows' lists are the pass's own: read them, do not change
-    them."""
+    them.  `balancing` holds, per row, the vertices whose deletion balances
+    the block: none if it is balanced."""
 
     rows: tuple[tuple[list[int], list[int], bool, bool, int], ...] = field(hash=False)
     articulation_vertices: frozenset[int]
     cut_vertices: frozenset[int]  # those whose deletion disconnects their component
     cores: tuple[Core, ...]
     bridges: frozenset[int]  # the edges of the two-vertex blocks with one edge
+    balancing: tuple[frozenset[int], ...]
 
     @cached_property
     def blocks(self) -> tuple[Block, ...]:
@@ -63,8 +64,8 @@ class BlockDecomposition:
 
 
 def block_decomposition(g: SignedGraph) -> BlockDecomposition:
-    """Blocks, articulation and cut vertices, bridges and the core of every
-    unbalanced component.  Computed once per graph object and kept on it."""
+    """Blocks and their balancing vertices, articulation and cut vertices,
+    bridges and cores.  Computed once per graph object and kept on it."""
     return _kept(g, "_block_decomposition", _block_decomposition)
 
 
@@ -120,55 +121,100 @@ def _block_decomposition(g: SignedGraph) -> BlockDecomposition:
             block_of[c] = block_of[p]
         edges[block_of[c]].append(sp.parent_edge[c])
         verts[block_of[c]].append(c)
-    unbalanced = [False] * len(opened_at)
-    rows = []
+    frustrated = [0] * len(opened_at)  # per block
+    rows, balancing = [], []
     articulation = set(cut)
     for eid, d, a in sp.nontree:
         if d != a:
             edges[block_of[d]].append(eid)
+            frustrated[block_of[d]] += sp.pot[d] * sp.pot[a] != g._sign[eid]
             continue
         # a loop is a block of its own, so its vertex lies in a second block
         # as soon as it has another incident edge
         negative = g._sign[eid] == -1
         rows.append(([eid], [d], not negative, negative, sp.comp[d]))
+        balancing.append(frozenset([d] if negative else ()))
         if len(g.adjacency[d]) >= 2:
             articulation.add(d)
-    for _, d, a in sp.frustrated:
-        if d != a:
-            unbalanced[block_of[d]] = True
     sides = [int(k[sp.comp[c]] > below[c]) for c in opened_at]
     for v in sp.order:
         if block_of[v] >= 0 and hang[v]:
             sides[block_of[v]] += 1
 
     rows += [
-        (edges[i], verts[i], not unbalanced[i], unbalanced[i] or sides[i] >= 2, sp.comp[c])
-        for i, c in enumerate(opened_at)
+        (edges[i], verts[i], not f, bool(f) or sides[i] >= 2, sp.comp[c])
+        for i, (c, f) in enumerate(zip(opened_at, frustrated))
     ]
+    balancing += _balancing_by_block(g, block_of, opened_at, frustrated)
     for v in range(g.n):
         if not g.adjacency[v]:
             rows.append(([], [v], True, False, sp.comp[v]))
+            balancing.append(frozenset())
 
-    inner_by_comp: list[list[tuple]] = [[] for _ in k]
-    for row in rows:
+    inner_by_comp: list[list[int]] = [[] for _ in k]
+    for i, row in enumerate(rows):
         if row[3]:
-            inner_by_comp[row[4]].append(row)
+            inner_by_comp[row[4]].append(i)
     cores = []
-    for i, inner in enumerate(inner_by_comp):
-        if not k[i]:
+    for c, inner in enumerate(inner_by_comp):
+        if not k[c]:
             continue
-        core_edges = frozenset([eid for row in inner for eid in row[0]])
+        core_edges = frozenset([eid for i in inner for eid in rows[i][0]])
         necklace = None
-        if len(inner) == 1:
-            # the lone unbalanced block of its component: every cycle lies in
-            # one block, so the component's balancing vertices are the block's
-            necklace = _necklace_constituents(g, core_edges, inner[0][1], balancing_vertices(g))
-        cores.append(Core(i, core_edges, necklace))
+        if len(inner) == 1:  # the component's one unbalanced block
+            necklace = _necklace_constituents(g, core_edges, rows[inner[0]][1], balancing[inner[0]])
+        cores.append(Core(c, core_edges, necklace))
 
     bridges = frozenset(es[0] for es in edges if len(es) == 1)
     return BlockDecomposition(
-        tuple(rows), frozenset(articulation), frozenset(cut), tuple(cores), bridges
+        tuple(rows), frozenset(articulation), frozenset(cut), tuple(cores), bridges,
+        tuple(balancing),
     )
+
+
+def _balancing_by_block(
+    g: SignedGraph, block_of: list[int], opened_at: list[int], frustrated: list[int]
+) -> list[frozenset[int]]:
+    """Per block the pass opened (given each vertex's block, that of its tree
+    edge up, and the blocks' opening children and frustrated counts), the
+    vertices whose deletion balances it.  Such a vertex x of B is on the
+    fundamental cycle of each frustrated edge of B: through the tree edge
+    above x (subtree sums of +1 at descendant ends and -1 at ancestor ends,
+    which no other block's edge crosses) or as the edge's ancestor end.  The
+    head h of B is on such a cycle only as its ancestor end, and B - h is a
+    subtree, so h qualifies iff every one passes the tree edge that opened B.
+    Deleting another candidate x frees each child subtree to be switched as
+    a whole, so x qualifies iff none reaches above x by both a frustrated and
+    an unfrustrated non-tree edge: per kind, a subtree minimum of depths,
+    taken along unbalanced blocks, as no child of x outside B reaches above x.
+    """
+    sp = g.spine
+    n, parent, depth = g.n, sp.parent, sp.depth
+    through = [0] * n  # frustrated edges whose cycle holds the tree edge above v
+    ends_at = [0] * n  # frustrated edges of v's own block with ancestor end v
+    for _, d, a in sp.frustrated:
+        if d != a:  # a loop is a block of its own
+            through[d] += 1
+            through[a] -= 1
+            ends_at[a] += block_of[a] == block_of[d]
+    through = sp.subtree_sums(through)
+    out = [{parent[c]} if f and through[c] == f else set() for c, f in zip(opened_at, frustrated)]
+    candidates = {x for x, b in enumerate(block_of) if b >= 0 and frustrated[b] == through[x] + ends_at[x] > 0}
+    if candidates:
+        reach = ([n] * n, [n] * n)  # least depth reached by unfrustrated, frustrated edges
+        for eid, d, a in sp.nontree:  # a loop reaches no higher than its own vertex
+            least = reach[sp.pot[d] * sp.pot[a] != g._sign[eid]]
+            least[d] = min(least[d], depth[a])
+        for v in reversed(sp.order):
+            p = parent[v]
+            if p >= 0 and frustrated[block_of[v]]:
+                if max(reach[0][v], reach[1][v]) < depth[p]:
+                    candidates.discard(p)
+                for least in reach:
+                    least[p] = min(least[p], least[v])
+    for x in candidates:
+        out[block_of[x]].add(x)
+    return [frozenset(s) for s in out]
 
 
 def _necklace_constituents(
@@ -265,13 +311,11 @@ def detect_necklace(
     """Constituents of the block, in ring order, if it is an unbalanced
     necklace of balanced blocks; None otherwise."""
     edges = frozenset(block_edges)
-    match = [b for b in block_decomposition(g).blocks if b.edges == edges and b.edges]
-    if not match:
-        raise NotABlock(f"{sorted(edges)} is not a block of the graph")
-    # the block may sit beside other unbalanced blocks, which would leave its
-    # component without balancing vertices: take them from the block alone
-    S = balancing_vertices(g.subgraph_of_edges(match[0].edges))
-    return _necklace_constituents(g, match[0].edges, match[0].vertices, S)
+    dec = block_decomposition(g)
+    for (es, vs, _, _, _), S in zip(dec.rows, dec.balancing):
+        if es and len(es) == len(edges) and edges.issuperset(es):
+            return _necklace_constituents(g, edges, vs, S)
+    raise NotABlock(f"{sorted(edges)} is not a block of the graph")
 
 
 def is_cactus_forest(g: SignedGraph) -> bool:

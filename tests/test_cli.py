@@ -318,21 +318,20 @@ def test_report_makes_one_full_pass_of_its_graph(name, monkeypatch):
 @pytest.mark.parametrize("name", FIXTURE_NAMES + ("necklace",))
 def test_report_finds_balancing_vertices_once(name, monkeypatch):
     """Sign articulation vertices and the necklace search share one
-    computation of the balancing vertices, kept on the graph."""
+    computation of the balancing vertices: the block pass finds every
+    block's set, and the pass is kept on the graph."""
     # a new graph object, so that nothing is kept on it from another test
     g = fresh_copy(NECKLACE) if name == "necklace" else fixture(name)
     calls = []
-    compute = balance._balancing_vertices
+    compute = structure._block_decomposition
 
     def counting(graph):
         calls.append(graph)
         return compute(graph)
 
-    monkeypatch.setattr(balance, "_balancing_vertices", counting)
+    monkeypatch.setattr(structure, "_block_decomposition", counting)
     build_report(g)
-    assert calls in ([], [g])
-    if name == "necklace":
-        assert calls == [g]
+    assert calls == [g]
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES + ("necklace",))

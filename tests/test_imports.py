@@ -80,6 +80,18 @@ def test_oracle_imports_only_core_and_errors():
     assert set(_package_imports(PACKAGE / "oracle.py")) <= {"core", "errors"}
 
 
+def test_structure_imports_only_core_and_errors():
+    """The block pass finds every block's balancing vertices itself, on the
+    spine: from the package it reads only the graph type and the errors."""
+    assert set(_package_imports(PACKAGE / "structure.py")) <= {"core", "errors"}
+
+
+def test_matroid_does_not_import_balance():
+    """Quasibalance reads the balancing vertices that the block pass keeps
+    beside its block."""
+    assert "balance" not in set(_package_imports(PACKAGE / "matroid.py"))
+
+
 def test_only_the_decomposition_and_the_sweep_result_are_dataclasses():
     """The value types are named tuples, which cost far less to create at
     import than generated dataclasses.  `BlockDecomposition` keeps values in

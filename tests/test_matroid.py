@@ -388,6 +388,23 @@ def _negative_cycles_of_unbalanced_blocks(g, cycles):
                     yield block, cycle
 
 
+def _prisms_and_mobius_ladders(count, seed):
+    """Prisms (two r-cycles joined by r rungs) and Moebius ladders (a
+    2r-cycle and its r long diagonals) with 3 or 4 rungs, random signs and
+    up to two random extra edges, so m <= 14."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        r = rng.randint(3, 4)
+        n = 2 * r
+        if rng.random() < 0.5:
+            pairs = [(i, (i + 1) % r) for i in range(r)] + [(r + i, r + (i + 1) % r) for i in range(r)]
+        else:
+            pairs = [(i, (i + 1) % n) for i in range(n)]
+        pairs += [(i, i + r) for i in range(r)]
+        pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2))]
+        yield SignedGraph.from_triples(n, [(u, v, rng.choice((1, -1))) for u, v in pairs])
+
+
 def _mobius_ladder_with_a_digon(n):
     """Rim 0..n-1 with rungs i-(i + n/2), the two twist edges negative, and a
     negative edge beside rim edge (n-3, n-2): not quasibalanced, and the
@@ -505,6 +522,27 @@ class TestQuasibalance:
                 answers[want] += 1
             assert is_quasibalanced(g) == oracle.brute_is_quasibalanced(g), g
         assert min(answers.values()) >= 1000, answers
+
+    def test_the_cycle_search_matches_the_oracle_on_ladders(self, monkeypatch):
+        # a ladder's one block often has no balancing vertex, so neither rule
+        # answers and the search runs: on a few hundred of these graphs,
+        # where no (4, 5) graph and almost no seeded multigraph reaches it
+        searched = Counter()
+        calls = []
+        iter_cycles = _cycles.iter_cycles
+
+        def counting(g, edge_ids):
+            calls.append(g)
+            return iter_cycles(g, edge_ids)
+
+        monkeypatch.setattr(_cycles, "iter_cycles", counting)
+        for g in _prisms_and_mobius_ladders(1500, 31):
+            before = len(calls)
+            got = is_quasibalanced(g)
+            assert got == oracle.brute_is_quasibalanced(g), g
+            if len(calls) > before:
+                searched[got] += 1
+        assert sum(searched.values()) >= 100 and len(searched) == 2, searched
 
     @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs an interval timer")
     def test_a_long_subdivided_k4_lists_its_seven_cycles_quickly(self):

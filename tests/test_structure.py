@@ -402,6 +402,115 @@ def test_necklace_search_matches_the_reference():
     assert min(necklaces.values()) >= 20, necklaces
 
 
+def _trees_of_blocks(count, seed):
+    """Two to five blocks glued at cut vertices, each hanging off the last
+    block's newest vertex (a chain, as in TIGHT) or off any earlier vertex:
+    negative triangles, which make cacti, and cycles of 2-5 vertices with
+    up to two chords and random signs; now and then a negative loop.  Vertex
+    labels and edge order are shuffled."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, triples = 1, []
+        for _ in range(rng.randint(2, 5)):
+            at = n - 1 if rng.random() < 0.5 else rng.randrange(n)
+            if rng.random() < 0.4:
+                ring, signs = [at, n, n + 1], rng.choice([(-1, -1, -1), (1, 1, -1), (1, -1, 1)])
+            else:
+                ring = [at] + list(range(n, n + rng.randint(1, 4)))
+                signs = [rng.choice((1, -1)) for _ in ring]
+            n = ring[-1] + 1
+            triples += [(u, ring[(i + 1) % len(ring)], s) for i, (u, s) in enumerate(zip(ring, signs))]
+            triples += [
+                (rng.choice(ring), rng.choice(ring), rng.choice((1, -1)))
+                for _ in range(rng.randint(0, 2))
+            ]
+        if rng.random() < 0.2:
+            v = rng.randrange(n)
+            triples.append((v, v, -1))
+        label = list(range(n))
+        rng.shuffle(label)
+        triples = [(label[u], label[v], s) for u, v, s in triples]
+        rng.shuffle(triples)
+        yield SignedGraph.from_triples(n, triples)
+
+
+def _balanced_edges(g, edge_ids):
+    """Whether the edges admit a switching potential, by a search that
+    assigns one to each vertex as it is reached (a negative loop never fits)."""
+    adjacency = {}
+    for eid in edge_ids:
+        _, u, v, sign = g.edges[eid]
+        adjacency.setdefault(u, []).append((v, sign))
+        adjacency.setdefault(v, []).append((u, sign))
+    pot = {}
+    for root in adjacency:
+        if root in pot:
+            continue
+        pot[root], stack = 1, [root]
+        while stack:
+            u = stack.pop()
+            for v, sign in adjacency[u]:
+                if v not in pot:
+                    pot[v] = pot[u] * sign
+                    stack.append(v)
+                elif pot[v] != pot[u] * sign:
+                    return False
+    return True
+
+
+def test_each_blocks_balancing_vertices_match_their_definition(monkeypatch):
+    """The pass's balancing vertices of every unbalanced block are those of
+    the block as a graph of its own and those whose deletion balances the
+    block, also where a component holds several unbalanced blocks; and
+    `detect_necklace` reads them, building no graph and no `Block`, to give
+    the constituents that the block's own balancing vertices give."""
+
+    def built(*args, **kwargs):
+        raise AssertionError("a graph or a Block was built")
+
+    seen = Counter()
+    families = {
+        "multigraphs": _small_multigraphs(2000, 32),
+        "trees of blocks": _trees_of_blocks(1500, 33),
+    }
+    for name, family in families.items():
+        for g in family:
+            dec = block_decomposition(fresh_copy(g))
+            per_comp = Counter(row[4] for row in dec.rows if not row[2])
+            want = []
+            for (es, vs, balanced, _, comp), S in zip(dec.rows, dec.balancing):
+                if balanced:
+                    assert S == frozenset()
+                else:
+                    deletion = frozenset(
+                        x for x in vs
+                        if _balanced_edges(g, [e for e in es if x not in (g.edges[e].u, g.edges[e].v)])
+                    )
+                    assert S == deletion == balancing_vertices(g.subgraph_of_edges(es)), (g, es)
+                    seen[name, "several unbalanced", bool(S)] += per_comp[comp] >= 2
+                if es:
+                    es = frozenset(es)
+                    want.append((es, _reference_necklace_constituents(g, es, vs, S)))
+            with monkeypatch.context() as m:
+                m.setattr(SignedGraph, "_of_columns", classmethod(built))
+                m.setattr(structure, "Block", built)
+                for es, necklace in want:
+                    assert detect_necklace(g, es) == necklace, (g, es)
+                    seen[name, "necklace"] += necklace is not None
+    assert len(seen) == 6 and min(seen.values()) >= 10, seen
+
+
+def _small_multigraphs(count, seed):
+    """n from 2 to 9 and m from 0 to 13, with loops and parallel edges: dense
+    enough for components with several unbalanced blocks, none of which has
+    a balancing vertex."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, m = rng.randint(2, 9), rng.randint(0, 13)
+        triples = [(rng.randrange(n), rng.randrange(n), rng.choice((1, -1))) for _ in range(m)]
+        yield SignedGraph.from_triples(n, triples)
+
+
 class TestContrabalance:
     def test_two_negative_triangles(self):
         assert is_contrabalanced(fixture("TIGHT"))
